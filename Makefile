@@ -1,18 +1,19 @@
 # Development targets for the SIMTY-Go reproduction.
 #
-#   make verify   — the full pre-merge gate: vet, build, race tests,
-#                   a repeated race pass over the parallel-harness
-#                   paths, a short fuzz smoke over the input parsers,
-#                   a kill-a-worker pass over the multi-process shard
-#                   supervisor (crash/hang/poison/resume), the
-#                   per-package coverage floor, and a single-shot
-#                   pass over the queue microbenchmarks (smoke, not
-#                   measurement).
+#   make verify   — the full pre-merge gate, one named target per check:
+#                   vet, build, race (the suite under -race), hammer (a
+#                   repeated race pass over the parallel-harness paths),
+#                   fuzz-smoke (a short pass over every FUZZTARGETS
+#                   entry), kill-a-worker (the multi-process shard
+#                   supervisor under crash/hang/poison/resume), cover
+#                   (the per-package coverage floor), and bench-smoke (a
+#                   single-shot pass over the microbenchmarks: smoke,
+#                   not measurement).
 #   make test     — tier-1 tests only (what CI must keep green).
 #   make cover    — per-package coverage with a floor on the core
 #                   packages (internal/alarm, internal/sim,
 #                   internal/fleet must each stay ≥ $(COVERMIN)%).
-#   make fuzz     — the fuzz targets, longer budget.
+#   make fuzz     — the fuzz-smoke loop with a longer FUZZTIME.
 #   make bench    — the kernel + queue microbenchmarks, measured, then
 #                   gated against bench/baseline.txt (>10% regression in
 #                   ns/op or allocs/op on any kernel benchmark fails).
@@ -22,12 +23,12 @@
 #   make serve    — build and run the wakesimd HTTP service locally.
 #   make docker   — build the wakesimd service image.
 #
-# CI runs `make verify` on every push and pull request
-# (.github/workflows/ci.yml).
+# CI runs each verify target as its own step on every push and pull
+# request (.github/workflows/ci.yml).
 
 GO ?= go
 
-.PHONY: verify test cover fuzz bench bench-gate bench-baseline vet build serve docker
+.PHONY: verify test race hammer fuzz-smoke kill-a-worker cover bench-smoke fuzz bench bench-gate bench-baseline vet build serve docker
 
 # Kernel benchmark selection shared by bench, bench-baseline, and the
 # verify smoke; BENCHCOUNT repetitions feed benchgate's median. The
@@ -40,25 +41,40 @@ BACKENDBENCH = ./internal/backend/ -run '^$$' -bench '^BenchmarkBackend' -benchm
 SHARDBENCH = ./internal/fleet/ -run '^$$' -bench '^Benchmark(EncodeShard|DecodeShard|StateRoundTrip)$$' -benchmem
 BENCHCOUNT ?= 10
 
-# Fuzz budget per target in the verify smoke (Go runs one fuzz target
-# per invocation, hence the per-target lines).
+# Fuzz targets as package:FuzzName pairs. Go runs one fuzz target per
+# invocation, so fuzz-smoke loops over the list; FUZZTIME is the budget
+# per target.
+FUZZTARGETS = \
+	./internal/apps:FuzzSpecJSON \
+	./internal/alarm:FuzzQueueOps \
+	./internal/fleet:FuzzFleetSpec \
+	./internal/simclock:FuzzClockPool \
+	./internal/shardexec:FuzzManifestJSON \
+	./internal/tournament:FuzzTournamentSpec
 FUZZTIME ?= 10s
 
 # Coverage floor (percent) for the core packages.
 COVERMIN ?= 70
 COVERPKGS = ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
 
-verify: vet build
+verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke
+
+race:
 	$(GO) test -race ./...
+
+hammer:
 	$(GO) test -race -count=2 -run 'RunAll|RunTrials|CompareTrials|Sweep|GoldenRecordParity|Fleet|Concurrent|Drain|SSE|Daemon|PooledMatchesUnpooled|NoTraceParity|Backend|Herd|Readyz|Heartbeat|Shard|Checkpoint|Manifest|MultiProcess|Scoreboard|Tournament|PerceptibleGuarantee' ./internal/simclock/ ./internal/sim/ ./internal/fleet/ ./internal/runstore/ ./internal/httpapi/ ./internal/backend/ ./internal/shardexec/ ./internal/tournament/ ./cmd/wakesimd/ ./cmd/wakesim/ .
-	$(GO) test ./internal/apps/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/alarm/ -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/simclock/ -run '^$$' -fuzz '^FuzzClockPool$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzManifestJSON$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime $(FUZZTIME)
+
+fuzz-smoke:
+	@for t in $(FUZZTARGETS); do \
+		echo "fuzz $$t for $(FUZZTIME)"; \
+		$(GO) test $${t%%:*}/ -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
+
+kill-a-worker:
 	$(GO) test -count=1 -run 'TestRunSurvivesTransientFaults|TestRunQuarantinesPoisonShard|TestRunKillsHungWorker|TestCheckpointResumeRunsOnlyMissingShards' ./internal/shardexec/
-	$(MAKE) cover
+
+bench-smoke:
 	$(GO) test ./internal/alarm/ -run '^$$' -bench 'Queue(Insert|Find|PopDue|Realign)' -benchtime=1x -short -timeout 10m
 	$(GO) test -race $(KERNELBENCH) -benchtime=1x -timeout 10m
 	$(GO) test -race $(BACKENDBENCH) -benchtime=1x -timeout 10m
@@ -78,12 +94,7 @@ cover:
 	done
 
 fuzz:
-	$(GO) test ./internal/apps/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 2m
-	$(GO) test ./internal/alarm/ -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime 2m
-	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzFleetSpec$$' -fuzztime 2m
-	$(GO) test ./internal/simclock/ -run '^$$' -fuzz '^FuzzClockPool$$' -fuzztime 2m
-	$(GO) test ./internal/shardexec/ -run '^$$' -fuzz '^FuzzManifestJSON$$' -fuzztime 2m
-	$(GO) test ./internal/tournament/ -run '^$$' -fuzz '^FuzzTournamentSpec$$' -fuzztime 2m
+	$(MAKE) fuzz-smoke FUZZTIME=2m
 
 vet:
 	$(GO) vet ./...

@@ -17,7 +17,7 @@ type Options struct {
 	Workers int
 	// ShardSize is how many devices are in flight per RunAll batch;
 	// ≤ 0 means DefaultShardSize. It bounds peak memory: per-run
-	// Records live only until their shard is folded into the aggregate.
+	// Results live only until their shard is folded into the aggregate.
 	ShardSize int
 	// Progress, when non-nil, is called after each device's pair of
 	// runs is folded, with the number of devices done so far and the
@@ -40,12 +40,6 @@ type Options struct {
 	// SnapshotEvery is the fold interval between Snapshot calls; ≤ 0
 	// means DefaultSnapshotEvery.
 	SnapshotEvery int
-	// RetainRecords disables the per-run NoTrace fast mode: each run
-	// then keeps its full Record slice until its shard is folded. The
-	// aggregate is byte-identical either way — every statistic the
-	// fleet folds is streamed inside the run — so retaining records
-	// only buys debuggability at a memory and allocation cost.
-	RetainRecords bool
 }
 
 // DefaultShardSize bounds in-flight devices per batch. At two runs per
@@ -105,61 +99,75 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 
 	start := time.Now()
 	agg := NewAggregate(spec)
-	runOpts := sim.RunAllOptions{Workers: opts.Workers}
-	devices := make([]Device, 0, shard)
-	cfgs := make([]sim.Config, 0, 2*shard)
-	for lo := 0; lo < spec.Devices; lo += shard {
-		hi := lo + shard
-		if hi > spec.Devices {
-			hi = spec.Devices
+	err := runDevices(ctx, spec, 0, spec.Devices, shard, opts.Workers, opts.RunProgress, func(d Device, base, test *sim.Result) {
+		agg.observe(d, base, test)
+		n := agg.Devices()
+		if opts.Progress != nil {
+			opts.Progress(n, spec.Devices)
 		}
+		if opts.Snapshot != nil && (n%snapEvery == 0 || n == spec.Devices) {
+			opts.Snapshot(n, spec.Devices, agg.Summary())
+		}
+	})
+	res := &Result{Spec: spec, Agg: agg, Wall: time.Since(start)}
+	if err != nil {
+		n := agg.Devices()
+		// Distinguish the caller abandoning the fleet from a shard
+		// failing: a cancelled (or deadline-expired) context is not a
+		// device-range error, and callers classify it with errors.Is,
+		// so surface it as the fleet being cancelled rather than
+		// blaming the shard that happened to be in flight.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return res, fmt.Errorf("fleet: cancelled after %d devices: %w", n, err)
+		}
+		return res, fmt.Errorf("fleet: devices %d–%d (aggregate holds %d): %w", n, min(n+shard, spec.Devices)-1, n, err)
+	}
+	return res, nil
+}
+
+// runDevices is the one batch loop under Run and RunShard. It samples
+// the devices [lo, hi) in batches of batch, runs each device's base and
+// test configs NoTrace on the sim.RunAll pool, and hands every pair to
+// fold in device order, dropping the Results as it goes — the batch is
+// the only reference keeping a run alive, so memory is bounded by the
+// batch, not the range. runProgress, when non-nil, sees every run with
+// Index/Done/Total lifted to the 2×(hi-lo) runs of the whole range.
+//
+// On error, fold has seen exactly the devices before the failed batch.
+func runDevices(ctx context.Context, spec Spec, lo, hi, batch, workers int, runProgress func(sim.Progress), fold func(d Device, base, test *sim.Result)) error {
+	runOpts := sim.RunAllOptions{Workers: workers}
+	devices := make([]Device, 0, batch)
+	cfgs := make([]sim.Config, 0, 2*batch)
+	for batchLo := lo; batchLo < hi; batchLo += batch {
+		batchHi := min(batchLo+batch, hi)
 		devices, cfgs = devices[:0], cfgs[:0]
-		for i := lo; i < hi; i++ {
+		for i := batchLo; i < batchHi; i++ {
 			d := spec.SampleDevice(i)
 			devices = append(devices, d)
 			base, test := spec.Config(d, spec.BasePolicy), spec.Config(d, spec.TestPolicy)
-			base.NoTrace = !opts.RetainRecords
-			test.NoTrace = !opts.RetainRecords
+			base.NoTrace = true
+			test.NoTrace = true
 			cfgs = append(cfgs, base, test)
 		}
-		if opts.RunProgress != nil {
-			// Shards run one RunAll at a time, so lifting the per-shard
-			// progress to fleet-global coordinates is a fixed offset.
-			base := 2 * lo
+		if runProgress != nil {
+			// Batches run one RunAll at a time, so lifting the per-batch
+			// progress to range-global coordinates is a fixed offset.
+			offset := 2 * (batchLo - lo)
 			runOpts.Progress = func(p sim.Progress) {
-				p.Index += base
-				p.Done += base
-				p.Total = 2 * spec.Devices
-				opts.RunProgress(p)
+				p.Index += offset
+				p.Done += offset
+				p.Total = 2 * (hi - lo)
+				runProgress(p)
 			}
 		}
 		rs, err := sim.RunAll(ctx, cfgs, runOpts)
 		if err != nil {
-			partial := &Result{Spec: spec, Agg: agg, Wall: time.Since(start)}
-			// Distinguish the caller abandoning the fleet from a shard
-			// failing: a cancelled (or deadline-expired) context is not a
-			// device-range error, and callers classify it with errors.Is,
-			// so surface it as the fleet being cancelled rather than
-			// blaming the shard that happened to be in flight.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return partial, fmt.Errorf("fleet: cancelled after %d devices: %w", agg.Devices(), err)
-			}
-			return partial, fmt.Errorf("fleet: devices %d–%d (aggregate holds %d): %w", lo, hi-1, agg.Devices(), err)
+			return err
 		}
-		// Fold in device order and drop the results as we go — rs is
-		// the only reference keeping each run's Records alive.
 		for k, d := range devices {
-			agg.observe(d, rs[2*k], rs[2*k+1])
+			fold(d, rs[2*k], rs[2*k+1])
 			rs[2*k], rs[2*k+1] = nil, nil
-			if opts.Progress != nil {
-				opts.Progress(agg.Devices(), spec.Devices)
-			}
-			if opts.Snapshot != nil {
-				if n := agg.Devices(); n%snapEvery == 0 || n == spec.Devices {
-					opts.Snapshot(n, spec.Devices, agg.Summary())
-				}
-			}
 		}
 	}
-	return &Result{Spec: spec, Agg: agg, Wall: time.Since(start)}, nil
+	return nil
 }

@@ -3,11 +3,14 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/alarm"
 	"repro/internal/sim"
+	"repro/internal/simclock"
 )
 
 // TestRunPartialAggregateOnFailure pins the error contract a service
@@ -59,6 +62,37 @@ func TestRunPartialAggregateOnFailure(t *testing.T) {
 	}
 	if string(got) != string(wantJSON) {
 		t.Fatalf("partial aggregate diverges from the truncated fleet:\ngot  %s\nwant %s", got, wantJSON)
+	}
+}
+
+// panicPolicy stands in for a buggy registered policy: its first Select
+// panics inside a fleet run.
+type panicPolicy struct{}
+
+func (panicPolicy) Name() string { return "FLEET-PANIC" }
+func (panicPolicy) Select([]*alarm.Entry, *alarm.Alarm, simclock.Time) int {
+	panic("poisoned policy")
+}
+
+func init() {
+	alarm.MustRegister("FLEET-PANIC", func(alarm.PolicyContext) (alarm.Policy, error) { return panicPolicy{}, nil })
+}
+
+// TestRunPanickingPolicyIsAnError: a policy that panics mid-fleet comes
+// back from Run as an error unwrapping to *sim.PanicError with its
+// stack, alongside the (empty) partial aggregate — the process survives.
+func TestRunPanickingPolicyIsAnError(t *testing.T) {
+	spec := Spec{Devices: 8, Seed: 3, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}, TestPolicy: "FLEET-PANIC"}
+	r, err := Run(context.Background(), spec, Options{Workers: 2, ShardSize: 4})
+	var pe *sim.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *sim.PanicError", err)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("panic carries no stack")
+	}
+	if r == nil || r.Agg.Devices() != 0 {
+		t.Fatalf("want the empty partial aggregate, got %+v", r)
 	}
 }
 

@@ -144,42 +144,22 @@ func RunShard(ctx context.Context, spec Spec, lo, hi, workers int) (*ShardAggreg
 		sa.BaseHist = backend.NewHistogram(width)
 		sa.TestHist = backend.NewHistogram(width)
 	}
-	runOpts := sim.RunAllOptions{Workers: workers}
-	devices := make([]Device, 0, DefaultShardSize)
-	cfgs := make([]sim.Config, 0, 2*DefaultShardSize)
-	for batchLo := lo; batchLo < hi; batchLo += DefaultShardSize {
-		batchHi := batchLo + DefaultShardSize
-		if batchHi > hi {
-			batchHi = hi
-		}
-		devices, cfgs = devices[:0], cfgs[:0]
-		for i := batchLo; i < batchHi; i++ {
-			d := spec.SampleDevice(i)
-			devices = append(devices, d)
-			base, test := spec.Config(d, spec.BasePolicy), spec.Config(d, spec.TestPolicy)
-			base.NoTrace = true
-			test.NoTrace = true
-			cfgs = append(cfgs, base, test)
-		}
-		rs, err := sim.RunAll(ctx, cfgs, runOpts)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard devices %d–%d: %w", batchLo, batchHi-1, err)
-		}
-		for k, d := range devices {
-			base, test := rs[2*k], rs[2*k+1]
-			sa.Obs = append(sa.Obs, makeObs(d, base, test))
-			if sa.HasBackend {
-				if base.Backend != nil {
-					sa.BaseStats.Merge(base.Backend)
-					sa.BaseHist.Merge(base.Backend.Hist)
-				}
-				if test.Backend != nil {
-					sa.TestStats.Merge(test.Backend)
-					sa.TestHist.Merge(test.Backend.Hist)
-				}
+	err := runDevices(ctx, spec, lo, hi, DefaultShardSize, workers, nil, func(d Device, base, test *sim.Result) {
+		sa.Obs = append(sa.Obs, makeObs(d, base, test))
+		if sa.HasBackend {
+			if base.Backend != nil {
+				sa.BaseStats.Merge(base.Backend)
+				sa.BaseHist.Merge(base.Backend.Hist)
 			}
-			rs[2*k], rs[2*k+1] = nil, nil
+			if test.Backend != nil {
+				sa.TestStats.Merge(test.Backend)
+				sa.TestHist.Merge(test.Backend.Hist)
+			}
 		}
+	})
+	if err != nil {
+		from := lo + len(sa.Obs)
+		return nil, fmt.Errorf("fleet: shard devices %d–%d: %w", from, min(from+DefaultShardSize, hi)-1, err)
 	}
 	return sa, nil
 }

@@ -25,7 +25,6 @@ func TestCheckpointResumeRunsOnlyMissingShards(t *testing.T) {
 	opts := testOptions(t, map[string]fault{"4": {Mode: "sigkill"}})
 	opts.Procs = 1
 	opts.ShardSize = 4
-	opts.MaxAttempts = 1
 	opts.Checkpoint = ckpt
 	res, err := Run(context.Background(), spec, opts)
 	if err == nil {
@@ -210,7 +209,7 @@ func TestCheckpointResumeSkipsStateReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load to find the final state record; the log must end with one
-	// covering all shards (CheckpointEvery defaults to 1).
+	// covering all shards (one is written after every merge).
 	ck, st, err := loadCheckpoint(ckpt)
 	if err != nil {
 		t.Fatal(err)

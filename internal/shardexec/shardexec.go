@@ -17,7 +17,9 @@ import (
 	"repro/internal/fleet"
 )
 
-// Defaults for the supervisor knobs.
+// Supervisor constants. Simulation shards are deterministic, so a
+// failed attempt is a crashed, killed, or hung worker, never a flaky
+// result: a few attempts separate a transient fault from a poison shard.
 const (
 	// DefaultShardSize is the device range per worker process. It is
 	// deliberately much larger than fleet.DefaultShardSize (the
@@ -25,16 +27,13 @@ const (
 	// serialization overhead, so shards are coarse and workers batch
 	// internally.
 	DefaultShardSize = 2048
-	// DefaultMaxAttempts is how many times a shard runs before it is
+	// maxAttempts is how many times a shard runs before it is
 	// quarantined.
-	DefaultMaxAttempts = 3
-	// DefaultRetryBackoff is the pause before the first retry; it
-	// doubles per retry up to maxRetryBackoff.
-	DefaultRetryBackoff = 250 * time.Millisecond
-	maxRetryBackoff     = 5 * time.Second
-	// DefaultCheckpointEvery is how many merged shards separate 'A'
-	// (aggregate state) records in the checkpoint.
-	DefaultCheckpointEvery = 1
+	maxAttempts = 3
+	// retryBackoff is the pause before the first retry; it doubles per
+	// retry up to maxRetryBackoff.
+	retryBackoff    = 250 * time.Millisecond
+	maxRetryBackoff = 5 * time.Second
 )
 
 // Options tune a supervised multi-process fleet run.
@@ -52,12 +51,6 @@ type Options struct {
 	// when it expires is killed and the attempt counts as failed. ≤ 0
 	// means no deadline.
 	WorkerTimeout time.Duration
-	// MaxAttempts is how many times one shard may run before being
-	// quarantined; ≤ 0 means DefaultMaxAttempts.
-	MaxAttempts int
-	// RetryBackoff is the pause before a shard's first retry, doubling
-	// per retry (capped); ≤ 0 means DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Checkpoint, when non-empty, is the path of the append-only
 	// checkpoint log. An interrupted run restarted with Resume re-runs
 	// only the shards the log is missing.
@@ -66,9 +59,6 @@ type Options struct {
 	// truncating it. The log's spec hash, device count, and shard size
 	// must match. A missing or empty file starts fresh.
 	Resume bool
-	// CheckpointEvery is how many merged shards separate aggregate-state
-	// records in the log; ≤ 0 means DefaultCheckpointEvery.
-	CheckpointEvery int
 	// WorkerArgv is the child command line; empty means the current
 	// executable with the single argument "-shardworker" (the wakesim
 	// protocol). Tests point this at a re-executed test binary.
@@ -81,9 +71,11 @@ type Options struct {
 	// (device) order from the supervisor goroutine.
 	Progress func(done, total int)
 	// Snapshot, when non-nil, receives a Summary of the merged prefix
-	// every SnapshotEvery merged shards and after the final merge.
+	// after each merge that crosses a multiple of SnapshotEvery devices,
+	// and always after the final merge.
 	Snapshot func(done, total int, s fleet.Summary)
-	// SnapshotEvery is in merged shards; ≤ 0 means every merge.
+	// SnapshotEvery is in devices, like fleet.Options.SnapshotEvery;
+	// ≤ 0 means fleet.DefaultSnapshotEvery.
 	SnapshotEvery int
 	// OnShard, when non-nil, observes the per-shard lifecycle (start,
 	// ok, retry, quarantine, cached). Calls may arrive from worker
@@ -157,21 +149,9 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxAttempts
-	}
-	backoff0 := opts.RetryBackoff
-	if backoff0 <= 0 {
-		backoff0 = DefaultRetryBackoff
-	}
-	ckEvery := opts.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = DefaultCheckpointEvery
-	}
 	snapEvery := opts.SnapshotEvery
 	if snapEvery <= 0 {
-		snapEvery = 1
+		snapEvery = fleet.DefaultSnapshotEvery
 	}
 	argv := opts.WorkerArgv
 	if len(argv) == 0 {
@@ -263,7 +243,7 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 				}
 				lo, hi := rangeOf(idx)
 				m := NewManifest(spec, idx, lo, hi, opts.Workers)
-				results <- runShardProcess(ctx, m, argv, opts.WorkerEnv, opts.WorkerTimeout, maxAttempts, backoff0, emit)
+				results <- runShardProcess(ctx, m, argv, opts.WorkerEnv, opts.WorkerTimeout, emit)
 			}
 		}()
 	}
@@ -275,15 +255,16 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	}()
 
 	// mergeReady folds every contiguously-available shard, emitting
-	// progress, snapshots, and checkpoint state records as it goes.
+	// progress, snapshots, and an aggregate-state checkpoint record
+	// after each merge.
 	var mergeErr error
-	sinceState := 0
 	mergeReady := func() {
 		for {
 			sa, ok := pending[merged]
 			if !ok {
 				return
 			}
+			before := res.Agg.Devices()
 			if err := res.Agg.MergeShard(sa); err != nil {
 				// A merge failure is a supervisor bug or a poisoned
 				// checkpoint; surface it and stop merging.
@@ -296,19 +277,18 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 			delete(pending, merged)
 			merged++
 			res.Completed++
-			sinceState++
+			done := res.Agg.Devices()
 			if opts.Progress != nil {
-				opts.Progress(res.Agg.Devices(), spec.Devices)
+				opts.Progress(done, spec.Devices)
 			}
-			if opts.Snapshot != nil && (merged%snapEvery == 0 || merged == shards) {
-				opts.Snapshot(res.Agg.Devices(), spec.Devices, res.Agg.Summary())
+			if opts.Snapshot != nil && (done/snapEvery > before/snapEvery || merged == shards) {
+				opts.Snapshot(done, spec.Devices, res.Agg.Summary())
 			}
-			if ck != nil && (sinceState >= ckEvery || merged == shards) {
+			if ck != nil {
 				if err := ck.appendState(merged, res.Agg.EncodeState()); err != nil && mergeErr == nil {
 					mergeErr = err
 					aborted.Store(true)
 				}
-				sinceState = 0
 			}
 		}
 	}
@@ -432,9 +412,9 @@ func prefixDevices(n, shardSize, total int) int {
 // validate its output, retry with capped exponential backoff on any
 // failure, and quarantine after maxAttempts. A cancelled parent context
 // is reported as cancellation, never as a shard failure.
-func runShardProcess(ctx context.Context, m Manifest, argv, env []string, timeout time.Duration, maxAttempts int, backoff0 time.Duration, emit func(ShardEvent)) shardResult {
+func runShardProcess(ctx context.Context, m Manifest, argv, env []string, timeout time.Duration, emit func(ShardEvent)) shardResult {
 	var attemptErrs []error
-	backoff := backoff0
+	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
 		m.Attempt = attempt
 		emit(ShardEvent{Index: m.Index, Lo: m.Lo, Hi: m.Hi, Attempt: attempt, State: "start"})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strconv"
@@ -133,9 +134,8 @@ func testOptions(t *testing.T, faults map[string]fault) Options {
 		env = append(env, "SHARDEXEC_FAULTS=")
 	}
 	return Options{
-		WorkerArgv:   []string{os.Args[0]},
-		WorkerEnv:    env,
-		RetryBackoff: 10 * time.Millisecond,
+		WorkerArgv: []string{os.Args[0]},
+		WorkerEnv:  env,
 	}
 }
 
@@ -248,7 +248,7 @@ func TestRunSurvivesTransientFaults(t *testing.T) {
 }
 
 // TestRunQuarantinesPoisonShard: a shard that fails every attempt is
-// quarantined after MaxAttempts; the run returns the longest contiguous
+// quarantined after maxAttempts; the run returns the longest contiguous
 // prefix (byte-identical to a truncated clean run) plus joined errors —
 // and the error is NOT classified as a cancellation.
 func TestRunQuarantinesPoisonShard(t *testing.T) {
@@ -256,7 +256,6 @@ func TestRunQuarantinesPoisonShard(t *testing.T) {
 	opts := testOptions(t, map[string]fault{"2": {Mode: "exit3"}})
 	opts.Procs = 2
 	opts.ShardSize = 4
-	opts.MaxAttempts = 2
 	res, err := Run(context.Background(), spec, opts)
 	if err == nil {
 		t.Fatal("poison shard did not fail the run")
@@ -264,7 +263,7 @@ func TestRunQuarantinesPoisonShard(t *testing.T) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("quarantine misclassified as cancellation: %v", err)
 	}
-	if !strings.Contains(err.Error(), "quarantined") || !strings.Contains(err.Error(), "attempt 2") {
+	if !strings.Contains(err.Error(), "quarantined") || !strings.Contains(err.Error(), fmt.Sprintf("attempt %d", maxAttempts)) {
 		t.Fatalf("error %q does not describe the quarantine attempts", err)
 	}
 	if len(res.Quarantined) != 1 || res.Quarantined[0] != 2 {
@@ -277,6 +276,39 @@ func TestRunQuarantinesPoisonShard(t *testing.T) {
 	truncated.Devices = 8
 	if got, want := resultSummary(t, res), cleanSummary(t, truncated); !bytes.Equal(got, want) {
 		t.Fatalf("partial prefix diverged from clean 8-device run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRunSnapshotEveryCountsDevices: SnapshotEvery is a device
+// interval, as in fleet.Run — a snapshot follows each merge that crosses
+// a multiple of it, plus the final merge — whether the interval is
+// below the shard size or spans several shards.
+func TestRunSnapshotEveryCountsDevices(t *testing.T) {
+	spec := testSpec(false) // 20 devices: 5 shards of 4
+	for _, tc := range []struct {
+		every int
+		want  []int
+	}{
+		{every: 3, want: []int{4, 8, 12, 16, 20}},
+		{every: 8, want: []int{8, 16, 20}},
+	} {
+		opts := testOptions(t, nil)
+		opts.Procs = 2
+		opts.ShardSize = 4
+		opts.SnapshotEvery = tc.every
+		var got []int
+		opts.Snapshot = func(done, total int, s fleet.Summary) {
+			if total != spec.Devices || s.Devices != done {
+				t.Errorf("every=%d: snapshot at %d of %d carries %d devices", tc.every, done, total, s.Devices)
+			}
+			got = append(got, done)
+		}
+		if _, err := Run(context.Background(), spec, opts); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("every=%d: snapshots at %v devices, want %v", tc.every, got, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +26,11 @@ func (panicPolicy) Select([]*alarm.Entry, *alarm.Alarm, simclock.Time) int {
 	panic("poisoned policy")
 }
 
-// TestRunAllPoisonedBatchAggregate is the tentpole acceptance test: a
-// batch of 8 runs with one poisoned (panicking) run completes the other
-// 7, returns the panic as that run's error with the stack attached, and
-// is race-clean (make verify executes this under -race).
-func TestRunAllPoisonedBatchAggregate(t *testing.T) {
+// TestRunAllPoisonedFirstError: a panicking run becomes that run's
+// error — never a crash — with the stack attached, and tears the pool
+// down like any other first error. The pool leaves no goroutine behind
+// (make verify executes this under -race).
+func TestRunAllPoisonedFirstError(t *testing.T) {
 	cfgs := make([]Config, 8)
 	for i := range cfgs {
 		cfgs[i] = Config{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: int64(i)}
@@ -37,39 +38,25 @@ func TestRunAllPoisonedBatchAggregate(t *testing.T) {
 	const poisoned = 3
 	cfgs[poisoned].Custom = panicPolicy{}
 
-	var failed []int
-	rs, err := RunAll(context.Background(), cfgs, RunAllOptions{
-		Workers:   4,
-		Aggregate: true,
-		Progress: func(p Progress) {
-			if p.Err != nil {
-				failed = append(failed, p.Index)
-			}
-		},
-	})
-	if err == nil {
-		t.Fatal("poisoned run's panic vanished")
+	before := runtime.NumGoroutine()
+	// One worker: after it fails, only the pool's own shutdown can
+	// release the feeder still holding runs 4–7.
+	rs, err := RunAll(context.Background(), cfgs, RunAllOptions{Workers: 1})
+	// A worker is still counted between its deferred wg.Done and its
+	// exit, so give the pool a moment to unwind before calling it a leak.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
 	}
-	if len(rs) != len(cfgs) {
-		t.Fatalf("got %d result slots for %d runs", len(rs), len(cfgs))
+	if after > before {
+		t.Errorf("goroutines: %d before the poisoned batch, %d after", before, after)
 	}
-	for i, r := range rs {
-		if i == poisoned {
-			if r != nil {
-				t.Errorf("poisoned run %d produced a result", i)
-			}
-			continue
-		}
-		if r == nil {
-			t.Errorf("healthy run %d lost its result to the poisoned one", i)
-		} else if r.Config.Seed != int64(i) {
-			t.Errorf("run %d out of order: seed %d", i, r.Config.Seed)
-		}
+	if rs != nil {
+		t.Errorf("RunAll returned partial results after a failure")
 	}
-
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("error does not unwrap to *PanicError: %v", err)
+		t.Fatalf("err = %v, want a *PanicError", err)
 	}
 	if pe.Value != "poisoned policy" {
 		t.Errorf("panic value %v", pe.Value)
@@ -80,125 +67,6 @@ func TestRunAllPoisonedBatchAggregate(t *testing.T) {
 	if !strings.Contains(err.Error(), fmt.Sprintf("run %d", poisoned)) ||
 		!strings.Contains(err.Error(), "PANIC") {
 		t.Errorf("error does not identify the poisoned run: %v", err)
-	}
-	if !reflect.DeepEqual(failed, []int{poisoned}) {
-		t.Errorf("progress reported failures %v, want [%d]", failed, poisoned)
-	}
-}
-
-// TestRunAllPoisonedFirstError: without Aggregate, the panic still
-// becomes an error (never a crash) and tears the pool down like any
-// other first error.
-func TestRunAllPoisonedFirstError(t *testing.T) {
-	cfgs := []Config{
-		{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 1, Custom: panicPolicy{}},
-		{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 2},
-	}
-	rs, err := RunAll(context.Background(), cfgs, RunAllOptions{Workers: 1})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a *PanicError", err)
-	}
-	if rs != nil {
-		t.Errorf("first-error mode returned partial results")
-	}
-}
-
-// TestRunAllAggregateJoinsAllErrors: every failure is collected and
-// joined in input order; healthy interleaved runs all complete.
-func TestRunAllAggregateJoinsAllErrors(t *testing.T) {
-	good := Config{Workload: apps.LightWorkload(), Policy: "SIMTY", Seed: 1}
-	bad := good
-	bad.Policy = "BOGUS"
-	cfgs := []Config{bad, good, bad, good}
-
-	rs, err := RunAll(context.Background(), cfgs, RunAllOptions{Workers: 2, Aggregate: true})
-	if err == nil {
-		t.Fatal("aggregate mode dropped the errors")
-	}
-	if rs[0] != nil || rs[2] != nil || rs[1] == nil || rs[3] == nil {
-		t.Fatalf("result slots wrong: [%v %v %v %v]", rs[0], rs[1], rs[2], rs[3])
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "run 0") || !strings.Contains(msg, "run 2") {
-		t.Errorf("joined error missing a failure: %v", err)
-	}
-	if i0, i2 := strings.Index(msg, "run 0"), strings.Index(msg, "run 2"); i0 > i2 {
-		t.Errorf("failures not joined in input order: %v", err)
-	}
-}
-
-// TestRunTimeout: a run exceeding RunTimeout fails with ErrRunTimeout;
-// the abandoned goroutine's late result is discarded harmlessly.
-func TestRunTimeout(t *testing.T) {
-	opts := RunAllOptions{RunTimeout: 5 * time.Millisecond}
-	_, err := runIsolated(opts, func() (int, error) {
-		time.Sleep(time.Second)
-		return 1, nil
-	})
-	if !errors.Is(err, ErrRunTimeout) {
-		t.Fatalf("err = %v, want ErrRunTimeout", err)
-	}
-
-	// A fast run under the same deadline is untouched.
-	v, err := runIsolated(opts, func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("fast run: %v, %v", v, err)
-	}
-}
-
-// TestRetryTransientErrors: runs whose errors Retryable marks transient
-// re-execute up to Retries times; success on a later attempt wins, and
-// non-retryable errors fail immediately.
-func TestRetryTransientErrors(t *testing.T) {
-	transient := errors.New("transient")
-	opts := RunAllOptions{
-		Retries:      3,
-		RetryBackoff: time.Microsecond,
-		Retryable:    func(err error) bool { return errors.Is(err, transient) },
-	}
-
-	attempts := 0
-	v, err := runIsolated(opts, func() (string, error) {
-		attempts++
-		if attempts < 3 {
-			return "", transient
-		}
-		return "ok", nil
-	})
-	if err != nil || v != "ok" || attempts != 3 {
-		t.Fatalf("retry loop: v=%q err=%v attempts=%d", v, err, attempts)
-	}
-
-	// Exhausted retries surface the last error.
-	attempts = 0
-	_, err = runIsolated(opts, func() (string, error) {
-		attempts++
-		return "", transient
-	})
-	if !errors.Is(err, transient) || attempts != opts.Retries+1 {
-		t.Fatalf("exhausted retries: err=%v attempts=%d", err, attempts)
-	}
-
-	// Non-retryable errors never retry.
-	attempts = 0
-	permanent := errors.New("permanent")
-	_, err = runIsolated(opts, func() (string, error) {
-		attempts++
-		return "", permanent
-	})
-	if !errors.Is(err, permanent) || attempts != 1 {
-		t.Fatalf("permanent error retried: err=%v attempts=%d", err, attempts)
-	}
-
-	// With no Retryable predicate nothing retries, even with Retries set.
-	attempts = 0
-	_, err = runIsolated(RunAllOptions{Retries: 3}, func() (string, error) {
-		attempts++
-		return "", transient
-	})
-	if err == nil || attempts != 1 {
-		t.Fatalf("nil Retryable retried: err=%v attempts=%d", err, attempts)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/backend"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
@@ -41,6 +42,8 @@ type comparableResult struct {
 	WakeGaps     metrics.IntervalStats
 	FinalWakeups int
 	Pushes       int
+	AoI          metrics.AoIStats
+	Backend      *backend.DeviceStats
 }
 
 func comparable(r *Result) comparableResult {
@@ -56,6 +59,8 @@ func comparable(r *Result) comparableResult {
 		WakeGaps:     r.WakeGaps,
 		FinalWakeups: r.FinalWakeups,
 		Pushes:       r.Pushes,
+		AoI:          r.AoI,
+		Backend:      r.Backend,
 	}
 }
 
@@ -63,8 +68,22 @@ func comparable(r *Result) comparableResult {
 // Records/Trace retention — every derived metric, the energy snapshot,
 // and the guarantee counters are identical to a retained run.
 func TestNoTraceParity(t *testing.T) {
+	var cfgs []Config
 	for _, policy := range PolicyNames() {
+		cfgs = append(cfgs, notraceConfig(policy))
+	}
+	// The backend co-simulation streams its counters and arrival
+	// histogram too; the fleet fold reads both.
+	for _, policy := range []string{"NATIVE", "SIMTY"} {
 		cfg := notraceConfig(policy)
+		cfg.Backend = &backend.Model{ShedRate: 0.2}
+		cfgs = append(cfgs, cfg)
+	}
+	for _, cfg := range cfgs {
+		policy := cfg.Policy
+		if cfg.Backend != nil {
+			policy += "+backend"
+		}
 		full, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -75,6 +94,9 @@ func TestNoTraceParity(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		if cfg.Backend != nil && (full.Backend == nil || full.Backend.Hist.Total() == 0) {
+			t.Fatalf("%s: backend parity run sent no requests — test exercises nothing", policy)
+		}
 		if len(full.Records) == 0 {
 			t.Fatalf("%s: parity run delivered no records — test exercises nothing", policy)
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -30,15 +29,10 @@ type Progress struct {
 	Name string
 	// Wall is the real time this one run took.
 	Wall time.Duration
-	// Err is the run's failure, if any. Failed runs reach the callback
-	// only in Aggregate mode (in first-error mode the failure tears the
-	// pool down instead).
-	Err error
 }
 
 // RunAllOptions tunes the parallel runner. The zero value uses
-// GOMAXPROCS workers, first-error semantics, no per-run timeout, no
-// retries, and no progress callback.
+// GOMAXPROCS workers and no progress callback.
 type RunAllOptions struct {
 	// Workers bounds the worker pool; values ≤ 0 mean
 	// runtime.GOMAXPROCS(0).
@@ -47,37 +41,11 @@ type RunAllOptions struct {
 	// Calls are serialized across workers, so the callback needs no
 	// locking of its own, but it should not block for long.
 	Progress func(Progress)
-	// Aggregate switches error handling from first-error-cancels-pool
-	// to run-everything-collect-everything: every run executes, a
-	// failed run leaves a nil slot in the results, and the returned
-	// error joins every per-run error in input order (errors.Join).
-	// One poisoned run can then never take down the batch.
-	Aggregate bool
-	// RunTimeout bounds one run's wall time; zero means unbounded. A
-	// run that exceeds it fails with ErrRunTimeout. The abandoned
-	// goroutine keeps simulating — its private clock and device cannot
-	// be interrupted — but its result is discarded, so a hung run costs
-	// one leaked goroutine, not the batch.
-	RunTimeout time.Duration
-	// Retries is how many times a failed run is re-executed when
-	// Retryable marks its error transient.
-	Retries int
-	// RetryBackoff is the sleep before retry k, scaled linearly by k;
-	// zero means 10 ms.
-	RetryBackoff time.Duration
-	// Retryable, when non-nil, reports whether an error is transient
-	// and worth retrying (timeouts and panics are passed in too; a nil
-	// Retryable retries nothing). Simulation runs are deterministic, so
-	// this mainly serves harnesses whose runs touch external state.
-	Retryable func(error) bool
 }
 
-// ErrRunTimeout marks a run abandoned after RunAllOptions.RunTimeout.
-var ErrRunTimeout = errors.New("run exceeded timeout")
-
 // PanicError is a panic recovered from a poisoned run, converted into
-// that run's error so the rest of the batch survives. Stack holds the
-// panicking goroutine's trace.
+// that run's error so the process survives. Stack holds the panicking
+// goroutine's trace.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -88,51 +56,39 @@ func (e *PanicError) Error() string {
 }
 
 // RunAll executes every configuration on a bounded worker pool and
-// returns the results in input order. Every run executes isolated: a
-// panic becomes that run's *PanicError (stack attached) and a run
-// exceeding opts.RunTimeout fails with ErrRunTimeout, so one poisoned
-// configuration cannot take down the batch or the process.
+// returns the results in input order.
 //
-// In the default first-error mode, the first failed run cancels the
-// pool — runs already in flight finish, no new runs start — and its
-// error is returned alongside the partial results; cancelling ctx does
-// the same with ctx.Err(). With opts.Aggregate set, every run executes,
-// failed runs leave nil slots, and the returned error joins every
-// failure in input order.
+// The first failed run cancels the pool — runs already in flight
+// finish, no new runs start — and RunAll returns a nil slice with that
+// run's error; cancelling ctx does the same with ctx.Err(). A panicking
+// run (a buggy custom policy) fails like any other: its error unwraps to
+// *PanicError with the stack attached, and the process does not crash.
 func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
-	err := runPool(ctx, len(cfgs), opts, func(i int) (string, error) {
-		r, err := runIsolated(opts, func() (*Result, error) { return Run(cfgs[i]) })
-		if err != nil {
-			return runLabel(cfgs[i]), fmt.Errorf("sim: run %d (%s): %w", i, runLabel(cfgs[i]), err)
-		}
-		results[i] = r
-		return runLabel(cfgs[i]), nil
+	err := runPool(ctx, cfgs, "run", opts, func(i int) (err error) {
+		results[i], err = Run(cfgs[i])
+		return err
 	})
-	if err != nil && !opts.Aggregate {
+	if err != nil {
 		return nil, err
 	}
-	return results, err
+	return results, nil
 }
 
 // RunToEmptyAll discharges every configuration on the worker pool —
 // run-to-empty simulations cover hundreds of simulated hours each, so
 // they gain the most from fanning out. Results come back in input
-// order; isolation and error semantics match RunAll.
+// order; error semantics match RunAll.
 func RunToEmptyAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*DrainResult, error) {
 	results := make([]*DrainResult, len(cfgs))
-	err := runPool(ctx, len(cfgs), opts, func(i int) (string, error) {
-		d, err := runIsolated(opts, func() (*DrainResult, error) { return RunToEmpty(cfgs[i]) })
-		if err != nil {
-			return runLabel(cfgs[i]), fmt.Errorf("sim: drain %d (%s): %w", i, runLabel(cfgs[i]), err)
-		}
-		results[i] = d
-		return runLabel(cfgs[i]), nil
+	err := runPool(ctx, cfgs, "drain", opts, func(i int) (err error) {
+		results[i], err = RunToEmpty(cfgs[i])
+		return err
 	})
-	if err != nil && !opts.Aggregate {
+	if err != nil {
 		return nil, err
 	}
-	return results, err
+	return results, nil
 }
 
 // RunTrials repeats the configuration with seeds Seed, Seed+1, ... —
@@ -215,74 +171,14 @@ func runLabel(c Config) string {
 	return pol
 }
 
-// runIsolated executes one run in its own goroutine so a poisoned run
-// cannot take down the batch: panics are recovered into *PanicError
-// with the stack attached, opts.RunTimeout converts a hung run into
-// ErrRunTimeout (the abandoned goroutine's result is discarded — it
-// only ever writes its private buffered channel, never shared state),
-// and errors opts.Retryable marks transient are retried up to
-// opts.Retries times with linear backoff.
-func runIsolated[T any](opts RunAllOptions, run func() (T, error)) (T, error) {
-	var zero T
-	var err error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			backoff := opts.RetryBackoff
-			if backoff <= 0 {
-				backoff = 10 * time.Millisecond
-			}
-			time.Sleep(time.Duration(attempt) * backoff)
-		}
-		var v T
-		v, err = runAttempt(opts.RunTimeout, run)
-		if err == nil {
-			return v, nil
-		}
-		if attempt >= opts.Retries || opts.Retryable == nil || !opts.Retryable(err) {
-			return zero, err
-		}
-	}
-}
-
-// runAttempt is one isolated execution: goroutine, panic recovery,
-// optional deadline.
-func runAttempt[T any](timeout time.Duration, run func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: &PanicError{Value: r, Stack: debug.Stack()}}
-			}
-		}()
-		v, err := run()
-		ch <- outcome{v: v, err: err}
-	}()
-	if timeout <= 0 {
-		o := <-ch
-		return o.v, o.err
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-t.C:
-		var zero T
-		return zero, fmt.Errorf("%w (%v)", ErrRunTimeout, timeout)
-	}
-}
-
 // runPool is the bounded-worker scaffolding under RunAll,
 // RunToEmptyAll, and the trial helpers: a feeder hands out indices, a
-// fixed set of workers executes fn, and — in first-error mode — the
-// first failure (or ctx cancellation) stops the feeder so no new work
-// starts. In aggregate mode failures are collected per index and
-// joined, and only ctx cancellation stops the feeder.
-func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (string, error)) error {
+// fixed set of workers executes fn, and the first failure (or ctx
+// cancellation) stops the feeder so no new work starts. A panic in fn
+// is recovered on the worker into a *PanicError and fails that run.
+// verb names the run kind in error messages.
+func runPool(ctx context.Context, cfgs []Config, verb string, opts RunAllOptions, fn func(i int) error) error {
+	n := len(cfgs)
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -297,8 +193,15 @@ func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (str
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		done int
+	)
 	next := make(chan int)
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		defer close(next)
 		for i := 0; i < n; i++ {
 			select {
@@ -309,41 +212,39 @@ func runPool(ctx context.Context, n int, opts RunAllOptions, fn func(i int) (str
 		}
 	}()
 
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	errs := make([]error, n) // aggregate mode; disjoint indices, no lock
+	// call runs one index, turning a panic into that run's error.
+	call := func(i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
+		}()
+		return fn(i)
+	}
+
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
 				start := time.Now()
-				name, err := fn(i)
-				if err != nil {
-					if !opts.Aggregate {
-						cancel(err) // first failure wins; later ones are no-ops
-						return
-					}
-					errs[i] = err
+				if err := call(i); err != nil {
+					// First failure wins; later ones are no-ops.
+					cancel(fmt.Errorf("sim: %s %d (%s): %w", verb, i, runLabel(cfgs[i]), err))
+					return
 				}
 				if opts.Progress != nil {
 					mu.Lock()
 					done++
-					opts.Progress(Progress{Index: i, Done: done, Total: n, Name: name, Wall: time.Since(start), Err: err})
+					opts.Progress(Progress{Index: i, Done: done, Total: n, Name: runLabel(cfgs[i]), Wall: time.Since(start)})
 					mu.Unlock()
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	wg.Wait() // the feeder too: nothing outlives the call
 	// Cause distinguishes "a run failed" (the cause passed to cancel)
 	// from "the caller cancelled ctx" (its own error); nil means every
-	// run finished. Aggregate failures are joined in input order.
-	if err := context.Cause(ctx); err != nil {
-		return err
-	}
-	return errors.Join(errs...)
+	// run finished.
+	return context.Cause(ctx)
 }

@@ -60,13 +60,13 @@ type (
 	Entry = alarm.Entry
 	// Profile is a device power model.
 	Profile = power.Profile
-	// RunAllOptions tunes the parallel experiment runner (worker count,
-	// progress callback, aggregate-error mode, per-run timeout, retries).
+	// RunAllOptions tunes the parallel experiment runner: worker count
+	// and progress callback.
 	RunAllOptions = sim.RunAllOptions
 	// RunProgress reports one finished run to a progress callback.
 	RunProgress = sim.Progress
 	// PanicError is a panic recovered from a poisoned run, surfaced as
-	// that run's error (stack attached) so the rest of a batch survives.
+	// that run's error (stack attached) so the process survives.
 	PanicError = sim.PanicError
 	// FaultPlan deterministically injects misbehaviour into a run via
 	// Config.Faults: wakelock leaks, alarm storms, delivery jitter and
@@ -154,9 +154,6 @@ const (
 	// LeakNever never releases the wakelock.
 	LeakNever = fault.LeakNever
 )
-
-// ErrRunTimeout marks a run abandoned after RunAllOptions.RunTimeout.
-var ErrRunTimeout = sim.ErrRunTimeout
 
 // DefaultBeta is the paper's grace factor (0.96).
 const DefaultBeta = sim.DefaultBeta
