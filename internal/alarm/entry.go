@@ -67,10 +67,11 @@ func (e *Entry) add(a *Alarm) {
 }
 
 // recompute rebuilds the attributes from the member list (used after a
-// removal).
+// removal). It re-adds the members in place: add appends at an index no
+// later than the one being read, so the rebuild reuses the slice.
 func (e *Entry) recompute() {
 	alarms := e.Alarms
-	e.Alarms = nil
+	e.Alarms = alarms[:0]
 	for _, a := range alarms {
 		e.add(a)
 	}

@@ -86,6 +86,13 @@ type Manager struct {
 
 	delivering bool
 	entrySeq   int
+
+	// due is deliverDue's reusable buffer of popped entries.
+	due []*Entry
+
+	// The manager's timer and wake callbacks, bound once in NewManager:
+	// scheduling a method value would allocate a closure per call.
+	onWakeTimerFn, onNonWakeTimerFn, deliverDueFn func()
 }
 
 // NewManager creates a manager driving deliveries through host using the
@@ -95,6 +102,9 @@ func NewManager(clock *simclock.Clock, host Host, policy Policy) *Manager {
 		panic("alarm: NewManager with nil dependency")
 	}
 	m := &Manager{clock: clock, host: host, policy: policy, realign: true}
+	m.onWakeTimerFn = m.onWakeTimer
+	m.onNonWakeTimerFn = m.onNonWakeTimer
+	m.deliverDueFn = m.deliverDue
 	host.OnWake(m.flushNonWakeup)
 	return m
 }
@@ -177,13 +187,13 @@ func (m *Manager) reschedule() {
 	m.wakeTimer = simclock.Timer{}
 	if h := m.wakeQ.Head(); h != nil {
 		at := maxTime(m.clock.Now(), h.DeliveryTime())
-		m.wakeTimer = m.clock.Schedule(at, m.onWakeTimer)
+		m.wakeTimer = m.clock.Schedule(at, m.onWakeTimerFn)
 	}
 	m.clock.Cancel(m.nonwakeTimer)
 	m.nonwakeTimer = simclock.Timer{}
 	if h := m.nonwakeQ.Head(); h != nil {
 		at := maxTime(m.clock.Now(), h.DeliveryTime())
-		m.nonwakeTimer = m.clock.Schedule(at, m.onNonWakeTimer)
+		m.nonwakeTimer = m.clock.Schedule(at, m.onNonWakeTimerFn)
 	}
 }
 
@@ -191,7 +201,7 @@ func (m *Manager) reschedule() {
 // awakens the device (if asleep) and due entries are delivered.
 func (m *Manager) onWakeTimer() {
 	m.wakeTimer = simclock.Timer{}
-	m.host.ExecuteWake(m.deliverDue)
+	m.host.ExecuteWake(m.deliverDueFn)
 }
 
 // onNonWakeTimer fires at the head non-wakeup entry's delivery time. It
@@ -221,14 +231,27 @@ func (m *Manager) deliverDue() {
 	}
 	m.delivering = true
 	now := m.clock.Now()
-	due := m.wakeQ.PopDue(now)
-	due = append(due, m.nonwakeQ.PopDue(now)...)
+	due := m.wakeQ.popDue(m.due[:0], now)
+	nWake := len(due)
+	due = m.nonwakeQ.popDue(due, now)
 	for _, e := range due {
 		m.entrySeq++
 		for _, a := range e.Alarms {
 			m.deliverAlarm(a, e, now)
 		}
 	}
+	// Every member was delivered (and any repeating one reinserted), so
+	// the popped entries go back to their queues' pools. None was reused
+	// during the loop: the pools held only entries delivered earlier.
+	for i, e := range due {
+		if i < nWake {
+			m.wakeQ.recycle(e)
+		} else {
+			m.nonwakeQ.recycle(e)
+		}
+	}
+	clear(due)
+	m.due = due[:0]
 	m.delivering = false
 	m.reschedule()
 }

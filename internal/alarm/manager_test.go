@@ -532,3 +532,38 @@ func TestManagerEntrySeqGroupsBatches(t *testing.T) {
 		t.Fatal("separate entries share EntrySeq")
 	}
 }
+
+// awakeHost is a Host that is always awake: ExecuteWake runs fn at once,
+// so it allocates nothing itself.
+type awakeHost struct{}
+
+func (awakeHost) Awake() bool           { return true }
+func (awakeHost) Session() int          { return 1 }
+func (awakeHost) OnWake(func())         {}
+func (awakeHost) ExecuteWake(fn func()) { fn() }
+
+// TestManagerDeliveryCycleAllocatesNothing: the manager's timer callbacks
+// are bound once, popped entries are recycled and the due buffer reused,
+// so once a period has filled the pools, delivering and reinserting a
+// batch allocates nothing.
+func TestManagerDeliveryCycleAllocatesNothing(t *testing.T) {
+	c := simclock.New()
+	m := NewManager(c, awakeHost{}, Native{})
+	delivered := 0
+	m.SetRecordFunc(func(Record) { delivered++ })
+	wifi := func(simclock.Time) hw.Set { return hw.MakeSet(hw.WiFi) }
+	for i, id := range []string{"a", "b", "c"} {
+		a := &Alarm{ID: id, Repeat: Static, Nominal: simclock.Time(simclock.Duration(10+i) * sec),
+			Period: 60 * sec, Window: 30 * sec, Grace: 30 * sec, OnDeliver: wifi}
+		if err := m.Set(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	period := func() { c.Run(c.Now().Add(60 * sec)) }
+	if n := testing.AllocsPerRun(20, period); n != 0 {
+		t.Fatalf("delivery period allocates %v objects, want 0", n)
+	}
+	if delivered != 3*21 || m.Pending() != 3 {
+		t.Fatalf("delivered %d, pending %d; want %d, 3", delivered, m.Pending(), 3*21)
+	}
+}

@@ -3,6 +3,7 @@ package alarm
 import (
 	"sort"
 
+	"repro/internal/freelist"
 	"repro/internal/simclock"
 )
 
@@ -155,6 +156,9 @@ type Queue struct {
 	byID map[string]*Entry
 	// count is the total number of queued alarms (Σ entry lengths).
 	count int
+	// free holds delivered entries the Manager handed back (recycle);
+	// newEntry reuses them, member slice capacity included.
+	free freelist.List[Entry]
 }
 
 // Entries exposes the entries in queue order. Callers must not mutate.
@@ -207,7 +211,7 @@ func (q *Queue) Insert(a *Alarm, p Policy, now simclock.Time) *Entry {
 		q.fixPosition(idx)
 	} else {
 		// idx == -1, or the policy's fallback for an out-of-range pick.
-		e = newEntry(a)
+		e = q.newEntry(a)
 		if o != nil {
 			e.Offset = o.EntryOffset(e)
 		}
@@ -323,22 +327,50 @@ func (q *Queue) Head() *Entry {
 	return q.entries[0]
 }
 
+// newEntry creates a single-alarm entry, reusing a recycled one if any.
+func (q *Queue) newEntry(a *Alarm) *Entry {
+	e := q.free.Get()
+	if e == nil {
+		return newEntry(a)
+	}
+	*e = Entry{Alarms: e.Alarms[:0]}
+	e.add(a)
+	return e
+}
+
+// recycle hands a popped entry whose members have all been dealt with
+// back to the queue for reuse. The caller must hold no other reference
+// to it.
+func (q *Queue) recycle(e *Entry) {
+	clear(e.Alarms)
+	q.free.Put(e)
+}
+
 // PopDue removes and returns all entries whose delivery time is ≤ now,
 // in delivery order.
 func (q *Queue) PopDue(now simclock.Time) []*Entry {
+	return q.popDue(nil, now)
+}
+
+// popDue appends the due entries to dst and removes them from the queue.
+// The remaining entries shift to the front of the same backing array, so
+// later inserts reuse its capacity.
+func (q *Queue) popDue(dst []*Entry, now simclock.Time) []*Entry {
 	n := 0
 	for n < len(q.entries) && q.entries[n].DeliveryTime() <= now {
 		n++
 	}
-	due := q.entries[:n:n]
-	q.entries = q.entries[n:]
-	for _, e := range due {
+	for _, e := range q.entries[:n] {
 		for _, a := range e.Alarms {
 			delete(q.byID, a.ID)
 			q.count--
 		}
 	}
-	return due
+	dst = append(dst, q.entries[:n]...)
+	rest := copy(q.entries, q.entries[n:])
+	clear(q.entries[rest:])
+	q.entries = q.entries[:rest]
+	return dst
 }
 
 // Clear removes every entry and returns the alarms that were queued, in

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/freelist"
 	"repro/internal/hw"
 	"repro/internal/power"
 	"repro/internal/simclock"
@@ -46,6 +47,13 @@ type Device struct {
 	tasksActive int
 	sleepTimer  simclock.Timer
 
+	// freeTasks recycles task objects whose end event has fired, and
+	// finishWakeFn/dozeFn are the device's own timer callbacks, bound once
+	// in New: scheduling a method value would allocate a closure per call.
+	freeTasks    freelist.List[task]
+	finishWakeFn func()
+	dozeFn       func()
+
 	// debounce is the suspend guard: after a wake completes the device
 	// will not re-doze within this window (idleCheck stretches its hold
 	// accordingly). Zero — the default — leaves the sleep arithmetic
@@ -78,8 +86,55 @@ func New(clock *simclock.Clock, profile *power.Profile, seed int64) *Device {
 		wl:      hw.NewWakelockManager(),
 		rng:     simclock.Rand(seed),
 	}
+	d.finishWakeFn = d.finishWake
+	d.dozeFn = d.doze
 	d.wl.Subscribe(d.acct)
 	return d
+}
+
+// task is one RunTask call's pair of clock events: acquire at the start,
+// release at the end. Task objects are pooled per device and their event
+// callbacks are bound once, when the object is first allocated, so a
+// steady-state task costs no allocation.
+type task struct {
+	d              *Device
+	tag            string
+	set            hw.Set
+	startFn, endFn func()
+}
+
+func (t *task) start() {
+	t.d.wl.Acquire(t.set)
+	if t.d.onTask != nil {
+		t.d.onTask(t.tag, t.set, true)
+	}
+}
+
+// end releases the task's wakelocks and returns the task to the pool. The
+// end event is always the task's last: it fires after start (scheduled
+// later, at an instant no earlier) and nothing cancels either event.
+func (t *task) end() {
+	d := t.d
+	d.wl.Release(t.set)
+	if d.onTask != nil {
+		d.onTask(t.tag, t.set, false)
+	}
+	d.tasksActive--
+	t.tag = ""
+	d.freeTasks.Put(t)
+	d.idleCheck()
+}
+
+// newTask takes a task from the pool, or allocates one and binds its
+// callbacks.
+func (d *Device) newTask(tag string, set hw.Set) *task {
+	t := d.freeTasks.Get()
+	if t == nil {
+		t = &task{d: d}
+		t.startFn, t.endFn = t.start, t.end
+	}
+	t.tag, t.set = tag, set
+	return t
 }
 
 // Accountant exposes the device's energy accountant.
@@ -126,7 +181,7 @@ func (d *Device) ExecuteWake(fn func()) {
 		d.session++
 		d.acct.SetAwake(true)
 		lat := d.wakeLatency()
-		d.clock.After(lat, d.finishWake)
+		d.clock.After(lat, d.finishWakeFn)
 	}
 }
 
@@ -154,11 +209,14 @@ func (d *Device) finishWake() {
 	for _, fn := range d.onWake {
 		fn()
 	}
-	fns := d.pending
-	d.pending = nil
-	for _, fn := range fns {
+	// The device is awake now, so ExecuteWake runs any callback it is
+	// handed at once and nothing appends to pending during the loop: the
+	// next wake reuses the array.
+	for _, fn := range d.pending {
 		fn()
 	}
+	clear(d.pending)
+	d.pending = d.pending[:0]
 	d.idleCheck()
 }
 
@@ -224,20 +282,9 @@ func (d *Device) RunTaskDelayed(tag string, set hw.Set, delay, dur simclock.Dura
 	}
 	d.tasksActive++
 	d.cancelSleep()
-	d.clock.Schedule(start, func() {
-		d.wl.Acquire(set)
-		if d.onTask != nil {
-			d.onTask(tag, set, true)
-		}
-	})
-	d.clock.Schedule(end, func() {
-		d.wl.Release(set)
-		if d.onTask != nil {
-			d.onTask(tag, set, false)
-		}
-		d.tasksActive--
-		d.idleCheck()
-	})
+	t := d.newTask(tag, set)
+	d.clock.Schedule(start, t.startFn)
+	d.clock.Schedule(end, t.endFn)
 	return start, end
 }
 
@@ -261,11 +308,15 @@ func (d *Device) idleCheck() {
 			hold = until.Sub(d.clock.Now())
 		}
 	}
-	d.sleepTimer = d.clock.After(hold, func() {
-		d.sleepTimer = simclock.Timer{}
-		if d.st == awake && d.tasksActive == 0 {
-			d.st = asleep
-			d.acct.SetAwake(false)
-		}
-	})
+	d.sleepTimer = d.clock.After(hold, d.dozeFn)
+}
+
+// doze is the doze timer's callback: the device suspends if it is still
+// idle.
+func (d *Device) doze() {
+	d.sleepTimer = simclock.Timer{}
+	if d.st == awake && d.tasksActive == 0 {
+		d.st = asleep
+		d.acct.SetAwake(false)
+	}
 }

@@ -329,3 +329,24 @@ func TestZeroLatencyWakeIsImmediateEvent(t *testing.T) {
 		t.Fatal("zero-latency wake did not complete at the same instant")
 	}
 }
+
+// TestWakeTaskCycleAllocatesNothing: the device's callbacks are bound once
+// and its tasks, pending-wake lists and the accountant's tail expiries are
+// reused, so once one cycle has filled the pools, a whole wake → two
+// joined tasks → tail expiry → doze cycle allocates nothing.
+func TestWakeTaskCycleAllocatesNothing(t *testing.T) {
+	c := simclock.New()
+	d := New(c, fixedProfile(), 1)
+	sync := func() { d.RunTaskTagged("sync", hw.MakeSet(hw.WiFi, hw.WPS), 2*sec) }
+	cycle := func() {
+		d.ExecuteWake(sync)
+		d.ExecuteWake(sync) // joins the wake in progress
+		c.Run(c.Now().Add(10 * simclock.Minute))
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("wake/task/doze cycle allocates %v objects, want 0", n)
+	}
+	if d.Awake() || d.Wakeups() != 21 || d.TasksActive() != 0 {
+		t.Fatalf("cycles did not complete: awake=%v wakeups=%d tasks=%d", d.Awake(), d.Wakeups(), d.TasksActive())
+	}
+}

@@ -101,9 +101,12 @@ func (s Set) Count() int {
 	return n
 }
 
-// Components returns the members of s in ascending component order.
+// Components returns the members of s in ascending component order. The
+// result has a constant capacity, so when the call inlines into a caller
+// that does not keep the slice, the slice lives on the caller's stack:
+// the wakelock, device and metrics loops over a set allocate nothing.
 func (s Set) Components() []Component {
-	var cs []Component
+	cs := make([]Component, 0, NumComponents)
 	for c := Component(0); c < numComponents; c++ {
 		if s.Contains(c) {
 			cs = append(cs, c)

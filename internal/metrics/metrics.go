@@ -107,44 +107,43 @@ type Breakdown struct {
 
 // WakeupAcc streams the Table 4 breakdown. Wakeups is the batch facade
 // over it, so the streaming (NoTrace) and batch paths cannot diverge.
+// Records must arrive in delivery order, which the simulator guarantees:
+// session numbers then never decrease, so each row counts its distinct
+// sessions by remembering the last one it saw instead of keeping a set.
 type WakeupAcc struct {
-	b            Breakdown
-	cpuSessions  map[int]bool
-	compSessions [hw.NumComponents]map[int]bool
+	b        Breakdown
+	cpuLast  int
+	compLast [hw.NumComponents]int
 }
 
 // NewWakeupAcc returns an empty accumulator.
-func NewWakeupAcc() *WakeupAcc {
-	a := &WakeupAcc{cpuSessions: map[int]bool{}}
-	for c := range a.compSessions {
-		a.compSessions[c] = map[int]bool{}
-	}
-	return a
-}
+func NewWakeupAcc() *WakeupAcc { return &WakeupAcc{} }
 
 // Add folds one delivery into the accumulator.
 func (a *WakeupAcc) Add(r alarm.Record) {
-	a.b.CPU.Expected++
-	a.cpuSessions[r.Session] = true
+	countSession(&a.b.CPU, &a.cpuLast, r.Session)
 	for _, c := range r.HW.Components() {
-		a.b.Component[c].Expected++
-		a.compSessions[c][r.Session] = true
+		countSession(&a.b.Component[c], &a.compLast[c], r.Session)
 	}
+}
+
+// countSession folds one delivery made in session into row, whose last
+// counted session is *last: Expected always grows, Wakeups only when the
+// session is new to the row.
+func countSession(row *Row, last *int, session int) {
+	if row.Expected == 0 || session != *last {
+		row.Wakeups++
+		*last = session
+	}
+	row.Expected++
 }
 
 // Breakdown returns the breakdown accumulated so far.
-func (a *WakeupAcc) Breakdown() Breakdown {
-	b := a.b
-	b.CPU.Wakeups = len(a.cpuSessions)
-	for c := range a.compSessions {
-		b.Component[c].Wakeups = len(a.compSessions[c])
-	}
-	return b
-}
+func (a *WakeupAcc) Breakdown() Breakdown { return a.b }
 
-// Wakeups computes the breakdown. A "wakeup" for a row is a distinct
-// awake session among the matching deliveries, so alarms batched into one
-// session count once.
+// Wakeups computes the breakdown over records in delivery order. A
+// "wakeup" for a row is a distinct awake session among the matching
+// deliveries, so alarms batched into one session count once.
 func Wakeups(recs []alarm.Record) Breakdown {
 	a := NewWakeupAcc()
 	for _, r := range recs {
@@ -154,33 +153,30 @@ func Wakeups(recs []alarm.Record) Breakdown {
 }
 
 // SpkVibAcc streams the merged Speaker&Vibrator row. SpeakerVibrator is
-// the batch facade over it.
+// the batch facade over it. Like WakeupAcc, it needs records in delivery
+// order.
 type SpkVibAcc struct {
-	row      Row
-	sessions map[int]bool
+	row  Row
+	last int
 }
 
 // NewSpkVibAcc returns an empty accumulator.
-func NewSpkVibAcc() *SpkVibAcc { return &SpkVibAcc{sessions: map[int]bool{}} }
+func NewSpkVibAcc() *SpkVibAcc { return &SpkVibAcc{} }
 
 // Add folds one delivery into the accumulator.
 func (a *SpkVibAcc) Add(r alarm.Record) {
 	if r.HW.Intersects(hw.MakeSet(hw.Speaker, hw.Vibrator)) {
-		a.row.Expected++
-		a.sessions[r.Session] = true
+		countSession(&a.row, &a.last, r.Session)
 	}
 }
 
 // Row returns the merged row accumulated so far.
-func (a *SpkVibAcc) Row() Row {
-	row := a.row
-	row.Wakeups = len(a.sessions)
-	return row
-}
+func (a *SpkVibAcc) Row() Row { return a.row }
 
 // SpeakerVibrator merges the speaker and vibrator rows the way Table 4
-// reports them ("Speaker&Vibrator"). Sessions delivering either count
-// once, so the merged row is computed from records, not by adding rows.
+// reports them ("Speaker&Vibrator") over records in delivery order.
+// Sessions delivering either count once, so the merged row is computed
+// from records, not by adding rows.
 func SpeakerVibrator(recs []alarm.Record) Row {
 	a := NewSpkVibAcc()
 	for _, r := range recs {

@@ -72,10 +72,12 @@ type Accountant struct {
 	lastUpdate simclock.Time
 
 	// powered tracks whether each component is drawing power (held or in
-	// its tail); tailEvents holds the pending tail-expiry timer if any.
+	// its tail); tailEvents holds the pending tail-expiry timer if any,
+	// and tailFns the expiry callback, bound on the component's first tail.
 	powered    [hw.NumComponents]bool
 	poweredAt  [hw.NumComponents]simclock.Time
 	tailEvents [hw.NumComponents]simclock.Timer
+	tailFns    [hw.NumComponents]func()
 
 	b Breakdown
 }
@@ -159,11 +161,17 @@ func (a *Accountant) ComponentOff(c hw.Component) {
 		a.powered[c] = false
 		return
 	}
-	a.tailEvents[c] = a.clock.After(tail, func() {
-		a.advance()
-		a.powered[c] = false
-		a.tailEvents[c] = simclock.Timer{}
-	})
+	if a.tailFns[c] == nil {
+		a.tailFns[c] = func() { a.tailExpired(c) }
+	}
+	a.tailEvents[c] = a.clock.After(tail, a.tailFns[c])
+}
+
+// tailExpired powers component c down at the end of its tail.
+func (a *Accountant) tailExpired(c hw.Component) {
+	a.advance()
+	a.powered[c] = false
+	a.tailEvents[c] = simclock.Timer{}
 }
 
 // CurrentPowerMW reports the instantaneous power draw, as a Monsoon-style

@@ -6,6 +6,7 @@ import (
 	"repro/internal/alarm"
 	"repro/internal/backend"
 	"repro/internal/device"
+	"repro/internal/freelist"
 	"repro/internal/hw"
 	"repro/internal/simclock"
 )
@@ -34,6 +35,9 @@ type backendClient struct {
 	netReady simclock.Time
 
 	stats backend.DeviceStats
+
+	// freeRetries pools retry objects whose attempt has run.
+	freeRetries freelist.List[retry]
 
 	// onAttempt, when set (tests), observes every attempt: the arrival
 	// instant after reconnect gating, the attempt index (0 = first), and
@@ -118,14 +122,43 @@ func (c *backendClient) request(at simclock.Time, attempt int) {
 		c.stats.Dropped++
 		return
 	}
-	c.clock.Schedule(at.Add(c.backoff(attempt)), func() {
-		c.dev.ExecuteWake(func() {
-			// The retry pays its own short sync burst; its arrival gates
-			// on this wake's reconnect like any other request.
-			c.dev.RunTaskTagged("retry-sync", hw.MakeSet(hw.WiFi), retryTaskDur)
-			c.request(c.clock.Now(), attempt+1)
-		})
-	})
+	r := c.newRetry(attempt + 1)
+	c.clock.Schedule(at.Add(c.backoff(attempt)), r.fireFn)
+}
+
+// retry is one scheduled retry attempt: at its backoff instant it wakes
+// the device and re-issues the request. Retries are pooled per client and
+// their callbacks bound once, so a retry chain allocates nothing per
+// attempt once the pool covers the run's peak of in-flight retries.
+type retry struct {
+	c              *backendClient
+	attempt        int
+	fireFn, wakeFn func()
+}
+
+func (r *retry) fire() { r.c.dev.ExecuteWake(r.wakeFn) }
+
+// wake runs the retry once the device is up. The retry pays its own short
+// sync burst; its arrival gates on this wake's reconnect like any other
+// request. The retry object is back in the pool before the request, which
+// may schedule the next retry of the chain.
+func (r *retry) wake() {
+	c, attempt := r.c, r.attempt
+	c.freeRetries.Put(r)
+	c.dev.RunTaskTagged("retry-sync", hw.MakeSet(hw.WiFi), retryTaskDur)
+	c.request(c.clock.Now(), attempt)
+}
+
+// newRetry takes a retry from the pool, or allocates one and binds its
+// callbacks.
+func (c *backendClient) newRetry(attempt int) *retry {
+	r := c.freeRetries.Get()
+	if r == nil {
+		r = &retry{c: c}
+		r.fireFn, r.wakeFn = r.fire, r.wake
+	}
+	r.attempt = attempt
+	return r
 }
 
 // backoff computes the wait before retry attempt+1:

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/alarm"
 	"repro/internal/apps"
@@ -251,29 +252,73 @@ func (e *runEnv) scheduleScreenSessions(horizon simclock.Duration) {
 	if dur <= 0 {
 		dur = 30 * simclock.Second
 	}
-	rng := simclock.Rand(e.cfg.Seed + 3)
-	meanGap := float64(simclock.Hour) / rate
-	var schedule func(at simclock.Time)
-	schedule = func(at simclock.Time) {
-		if at > simclock.Time(horizon) {
-			return
-		}
-		e.clock.Schedule(at, func() {
-			// Thinning: candidates arrive at the profile's peak rate and
-			// survive with probability scale(t)/maxScale, which realizes a
-			// Poisson process whose intensity follows the phase scales. A
-			// nil profile draws no thinning variate, keeping the stream
-			// byte-identical to the pre-diurnal simulator.
-			if e.cfg.Diurnal == nil || rng.Float64()*maxScale < e.cfg.Diurnal.At(at).ScreenScale {
-				e.dev.ExecuteWake(func() {
-					e.dev.RunTaskTagged("screen-session", hw.MakeSet(hw.Screen), dur)
-				})
-			}
-			schedule(at.Add(simclock.Duration(rng.ExpFloat64() * meanGap)))
-		})
+	p := &wakeProcess{
+		env: e, rng: simclock.Rand(e.cfg.Seed + 3), horizon: simclock.Time(horizon),
+		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale,
+		scale: func(ph apps.Phase) float64 { return ph.ScreenScale },
+		tag:   "screen-session", set: hw.MakeSet(hw.Screen), dur: dur,
 	}
-	schedule(simclock.Time(simclock.Duration(rng.ExpFloat64() * meanGap)))
+	p.start()
 }
+
+// wakeProcess is one of the run's external-wakeup processes (pushes,
+// screen sessions): candidate events at Poisson arrival times, each
+// waking the device to run one task. Its two callbacks are bound once, at
+// start, so the process allocates nothing per event.
+type wakeProcess struct {
+	env      *runEnv
+	rng      *rand.Rand
+	horizon  simclock.Time
+	meanGap  float64
+	maxScale float64
+	// scale picks the process's rate scale out of a diurnal phase.
+	scale func(apps.Phase) float64
+	tag   string
+	set   hw.Set
+	dur   simclock.Duration
+	// counter, when set, counts the accepted events.
+	counter *int
+
+	at             simclock.Time // the pending candidate's arrival
+	fireFn, taskFn func()
+}
+
+// start binds the callbacks and schedules the first candidate.
+func (p *wakeProcess) start() {
+	p.fireFn, p.taskFn = p.fire, p.task
+	p.schedule(simclock.Time(p.gap()))
+}
+
+func (p *wakeProcess) gap() simclock.Duration {
+	return simclock.Duration(p.rng.ExpFloat64() * p.meanGap)
+}
+
+func (p *wakeProcess) schedule(at simclock.Time) {
+	if at > p.horizon {
+		return
+	}
+	p.at = at
+	p.env.clock.Schedule(at, p.fireFn)
+}
+
+// fire handles one candidate and schedules the next. Thinning:
+// candidates arrive at the profile's peak rate and survive with
+// probability scale(t)/maxScale, which realizes a Poisson process whose
+// intensity follows the phase scales. A nil profile draws no thinning
+// variate, keeping the stream byte-identical to the pre-diurnal
+// simulator.
+func (p *wakeProcess) fire() {
+	e := p.env
+	if e.cfg.Diurnal == nil || p.rng.Float64()*p.maxScale < p.scale(e.cfg.Diurnal.At(p.at)) {
+		if p.counter != nil {
+			*p.counter++
+		}
+		e.dev.ExecuteWake(p.taskFn)
+	}
+	p.schedule(p.at.Add(p.gap()))
+}
+
+func (p *wakeProcess) task() { p.env.dev.RunTaskTagged(p.tag, p.set, p.dur) }
 
 // diurnalRate maps a base event rate to the candidate (envelope) rate
 // the thinning processes draw at: base × the profile's peak scale, or
@@ -298,28 +343,15 @@ func (e *runEnv) schedulePushes(horizon simclock.Duration) {
 	if rate <= 0 {
 		return
 	}
-	rng := simclock.Rand(e.cfg.Seed + 2)
-	meanGap := float64(simclock.Hour) / rate
-	var schedule func(at simclock.Time)
-	schedule = func(at simclock.Time) {
-		if at > simclock.Time(horizon) {
-			return
-		}
-		e.clock.Schedule(at, func() {
-			// Same thinning construction as the screen process (see
-			// scheduleScreenSessions); nil profile draws identically to
-			// the pre-diurnal simulator.
-			if e.cfg.Diurnal == nil || rng.Float64()*maxScale < e.cfg.Diurnal.At(at).PushScale {
-				e.pushes++
-				e.dev.ExecuteWake(func() {
-					// Receiving the message costs a short Wi-Fi burst.
-					e.dev.RunTaskTagged("gcm-push", hw.MakeSet(hw.WiFi), simclock.Second)
-				})
-			}
-			schedule(at.Add(simclock.Duration(rng.ExpFloat64() * meanGap)))
-		})
+	// Receiving the message costs a short Wi-Fi burst.
+	p := &wakeProcess{
+		env: e, rng: simclock.Rand(e.cfg.Seed + 2), horizon: simclock.Time(horizon),
+		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale,
+		scale: func(ph apps.Phase) float64 { return ph.PushScale },
+		tag:   "gcm-push", set: hw.MakeSet(hw.WiFi), dur: simclock.Second,
+		counter: &e.pushes,
 	}
-	schedule(simclock.Time(simclock.Duration(rng.ExpFloat64() * meanGap)))
+	p.start()
 }
 
 // result computes every derived metric from the finished run. All

@@ -20,6 +20,8 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/freelist"
 )
 
 // Time is an instant in virtual time, in milliseconds since the start of
@@ -99,7 +101,7 @@ type Clock struct {
 	// free is the event pool. Its peak size is the clock's peak queue
 	// depth, so a simulation's total event allocations are bounded by its
 	// maximum concurrency, not its event count.
-	free []*Event
+	free freelist.List[Event]
 	// nopool (test-only) disables recycling so property tests can compare
 	// pooled and unpooled kernels on identical schedules.
 	nopool bool
@@ -116,10 +118,7 @@ func (c *Clock) Len() int { return len(c.pq) }
 
 // alloc takes an event from the free list, or the heap when it is empty.
 func (c *Clock) alloc() *Event {
-	if n := len(c.free); n > 0 {
-		e := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
+	if e := c.free.Get(); e != nil {
 		return e
 	}
 	return &Event{}
@@ -133,7 +132,7 @@ func (c *Clock) recycle(e *Event) {
 	e.fn = nil
 	e.index = -1
 	if !c.nopool {
-		c.free = append(c.free, e)
+		c.free.Put(e)
 	}
 }
 
