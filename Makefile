@@ -6,9 +6,11 @@
 #                   fuzz-smoke (a short pass over every FUZZTARGETS
 #                   entry), kill-a-worker (the multi-process shard
 #                   supervisor under crash/hang/poison/resume), cover
-#                   (the per-package coverage floor), and bench-smoke (a
+#                   (the per-package coverage floor), bench-smoke (a
 #                   single-shot pass over the microbenchmarks: smoke,
-#                   not measurement).
+#                   not measurement), and wakebench-test (vet and tests
+#                   of the cmd/wakebench module, which the root
+#                   `go test ./...` does not reach).
 #   make test     — tier-1 tests only (what CI must keep green).
 #   make cover    — per-package coverage with a floor on the core
 #                   packages (internal/alarm, internal/sim,
@@ -28,7 +30,7 @@
 
 GO ?= go
 
-.PHONY: verify test race hammer fuzz-smoke kill-a-worker cover bench-smoke fuzz bench bench-gate bench-baseline vet build serve docker
+.PHONY: verify test race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test fuzz bench bench-gate bench-baseline vet build serve docker
 
 # Kernel benchmark selection shared by bench, bench-baseline, and the
 # verify smoke; BENCHCOUNT repetitions feed benchgate's median. The
@@ -37,8 +39,8 @@ GO ?= go
 KERNELBENCH = ./internal/simclock/ -run '^$$' -bench '^BenchmarkKernel' -benchmem
 BACKENDBENCH = ./internal/backend/ -run '^$$' -bench '^BenchmarkBackend' -benchmem
 # Shard-aggregate serialization (the multi-process supervisor's wire
-# format: framed encode/decode + checkpoint state round-trip).
-SHARDBENCH = ./internal/fleet/ -run '^$$' -bench '^Benchmark(EncodeShard|DecodeShard|StateRoundTrip)$$' -benchmem
+# format and checkpoint record payload: framed encode/decode).
+SHARDBENCH = ./internal/fleet/ -run '^$$' -bench '^Benchmark(EncodeShard|DecodeShard)$$' -benchmem
 BENCHCOUNT ?= 10
 
 # Fuzz targets as package:FuzzName pairs. Go runs one fuzz target per
@@ -57,7 +59,7 @@ FUZZTIME ?= 10s
 COVERMIN ?= 70
 COVERPKGS = ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
 
-verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke
+verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test
 
 race:
 	$(GO) test -race ./...
@@ -79,6 +81,12 @@ bench-smoke:
 	$(GO) test -race $(KERNELBENCH) -benchtime=1x -timeout 10m
 	$(GO) test -race $(BACKENDBENCH) -benchtime=1x -timeout 10m
 	$(GO) test -race $(SHARDBENCH) -benchtime=1x -timeout 10m
+
+# wakebench-test vets and tests the benchmark module. It is a Go module
+# of its own (cmd/wakebench/go.mod), so the root targets never reach it,
+# yet it compiles against the fleet and shardexec APIs.
+wakebench-test:
+	cd cmd/wakebench && $(GO) vet ./... && $(GO) test ./...
 
 # cover fails if any core package's statement coverage drops below the
 # floor; the awk exit carries the verdict so the gate works without any

@@ -17,9 +17,9 @@ import (
 // merging the originals (Histogram.Merge and DeviceStats.Merge are
 // commutative, associative integer folds).
 //
-// Like the internal/stats codecs these are raw building blocks: the
-// framed container formats in internal/fleet add the magic, version,
-// and checksum that detect corruption.
+// These are raw building blocks: the framed shard format in
+// internal/fleet adds the magic, version, and checksum that detect
+// corruption.
 
 // DeviceStatsBinarySize is the exact encoded size of the DeviceStats
 // counters (the histogram is carried separately — it is per-policy

@@ -214,8 +214,8 @@ type Aggregate struct {
 // NewAggregate returns an empty aggregate for the spec, ready to fold
 // devices (observe) or whole shards (MergeShard) in index order. The
 // in-process runner builds one internally; the multi-process supervisor
-// (internal/shardexec) builds one explicitly so it can restore a
-// checkpointed state into it.
+// (internal/shardexec) builds one explicitly and merges every shard
+// into it, checkpointed or freshly run.
 func NewAggregate(spec Spec) *Aggregate {
 	spec = spec.WithDefaults()
 	return &Aggregate{

@@ -7,49 +7,42 @@ import (
 	"math"
 
 	"repro/internal/backend"
-	"repro/internal/stats"
 )
 
-// Framed binary formats for the multi-process fleet protocol. Two frame
-// kinds share one envelope:
+// The framed binary format of the multi-process fleet protocol. A
+// "WFSH" frame carries one ShardAggregate — what a shard-worker process
+// writes to stdout and what a checkpoint file persists per shard:
 //
 //	[magic 4][version u16][payload length u32][payload][crc32c u32]
-//
-// "WFSH" frames carry a ShardAggregate — what a shard-worker process
-// writes to stdout and what checkpoint files persist per shard. "WFAG"
-// frames carry a serialized Aggregate state — the checkpoint's running
-// prefix, restored on resume so already-merged shards are not re-run.
 //
 // The CRC (Castagnoli) covers the envelope header and payload, so a
 // truncated pipe, a torn checkpoint tail, or a flipped bit decodes as a
 // loud error instead of a silently wrong summary. All integers are
 // little-endian and floats cross as their IEEE-754 bit patterns —
-// decode(encode(x)) is x, bit for bit, which is what lets a resumed run
-// produce byte-identical Summary JSON.
+// decode(encode(x)) is x, bit for bit, which is what lets a resumed run,
+// which refolds its checkpointed shards, produce byte-identical Summary
+// JSON.
 
 const (
 	shardMagic = "WFSH"
-	stateMagic = "WFAG"
 
-	// CodecVersion is the on-wire version of both frame kinds. Bump it
+	// CodecVersion is the on-wire version of the shard frame. Bump it
 	// on any layout change: a supervisor refuses frames from a worker
 	// or checkpoint of a different version instead of misparsing them.
-	// v2 added the Age-of-Information mean to PolicyObs rows and the
-	// AoI accumulator to the policy state block.
+	// v2 added the Age-of-Information mean to PolicyObs rows.
 	CodecVersion = 2
 
 	frameHeaderSize = 4 + 2 + 4
 	policyObsSize   = 8 * 8
 	obsSize         = 1 + 2*policyObsSize + 4*8
-	accSize         = stats.WelfordBinarySize + 3*stats.P2QuantileBinarySize
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // frame wraps a payload in the envelope.
-func frame(magic string, payload []byte) []byte {
+func frame(payload []byte) []byte {
 	b := make([]byte, 0, frameHeaderSize+len(payload)+4)
-	b = append(b, magic...)
+	b = append(b, shardMagic...)
 	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
 	b = append(b, payload...)
@@ -57,24 +50,24 @@ func frame(magic string, payload []byte) []byte {
 }
 
 // unframe validates the envelope and returns the payload.
-func unframe(magic string, data []byte) ([]byte, error) {
+func unframe(data []byte) ([]byte, error) {
 	if len(data) < frameHeaderSize+4 {
-		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want at least %d", magic, len(data), frameHeaderSize+4)
+		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want at least %d", shardMagic, len(data), frameHeaderSize+4)
 	}
-	if got := string(data[:4]); got != magic {
-		return nil, fmt.Errorf("fleet: frame magic %q, want %q", got, magic)
+	if got := string(data[:4]); got != shardMagic {
+		return nil, fmt.Errorf("fleet: frame magic %q, want %q", got, shardMagic)
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != CodecVersion {
-		return nil, fmt.Errorf("fleet: %s frame version %d, want %d", magic, v, CodecVersion)
+		return nil, fmt.Errorf("fleet: %s frame version %d, want %d", shardMagic, v, CodecVersion)
 	}
 	n := int(binary.LittleEndian.Uint32(data[6:]))
 	if len(data) != frameHeaderSize+n+4 {
-		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want %d for payload of %d", magic, len(data), frameHeaderSize+n+4, n)
+		return nil, fmt.Errorf("fleet: %s frame is %d bytes, want %d for payload of %d", shardMagic, len(data), frameHeaderSize+n+4, n)
 	}
 	body := data[:frameHeaderSize+n]
 	want := binary.LittleEndian.Uint32(data[frameHeaderSize+n:])
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("fleet: %s frame checksum %08x, want %08x (corrupt or truncated)", magic, got, want)
+		return nil, fmt.Errorf("fleet: %s frame checksum %08x, want %08x (corrupt or truncated)", shardMagic, got, want)
 	}
 	return data[frameHeaderSize : frameHeaderSize+n], nil
 }
@@ -191,13 +184,13 @@ func EncodeShard(sa *ShardAggregate) []byte {
 		payload = appendBlob(payload, sa.BaseHist.AppendBinary(nil))
 		payload = appendBlob(payload, sa.TestHist.AppendBinary(nil))
 	}
-	return frame(shardMagic, payload)
+	return frame(payload)
 }
 
 // DecodeShard parses a WFSH frame, rejecting truncated, corrupt,
 // version-skewed, or structurally invalid payloads.
 func DecodeShard(data []byte) (*ShardAggregate, error) {
-	payload, err := unframe(shardMagic, data)
+	payload, err := unframe(data)
 	if err != nil {
 		return nil, err
 	}
@@ -268,156 +261,4 @@ func DecodeShard(data []byte) (*ShardAggregate, error) {
 		return nil, err
 	}
 	return sa, nil
-}
-
-func appendAcc(b []byte, a *acc) []byte {
-	b = a.w.AppendBinary(b)
-	b = a.p50.AppendBinary(b)
-	b = a.p95.AppendBinary(b)
-	return a.p99.AppendBinary(b)
-}
-
-func decodeAcc(data []byte, a *acc) error {
-	if err := a.w.UnmarshalBinary(data[:stats.WelfordBinarySize]); err != nil {
-		return err
-	}
-	data = data[stats.WelfordBinarySize:]
-	for _, q := range [...]*stats.P2Quantile{&a.p50, &a.p95, &a.p99} {
-		if err := q.UnmarshalBinary(data[:stats.P2QuantileBinarySize]); err != nil {
-			return err
-		}
-		data = data[stats.P2QuantileBinarySize:]
-	}
-	return nil
-}
-
-func appendPolicyAcc(b []byte, p *policyAcc) []byte {
-	b = appendAcc(b, p.energy)
-	b = appendAcc(b, p.standby)
-	b = appendAcc(b, p.wakeups)
-	b = appendAcc(b, p.imperc)
-	b = appendAcc(b, p.aoi)
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.perceptibleLate))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.graceLate))
-	b = appendFloat(b, p.maxPerceptibleDelay)
-	if p.hist == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = p.bk.AppendBinary(b)
-	return appendBlob(b, p.hist.AppendBinary(nil))
-}
-
-func decodePolicyAcc(data []byte, p *policyAcc) (rest []byte, err error) {
-	const fixed = 5*accSize + 8 + 8 + 8 + 1
-	if len(data) < fixed {
-		return nil, fmt.Errorf("fleet: policy accumulator block truncated")
-	}
-	for _, a := range [...]*acc{p.energy, p.standby, p.wakeups, p.imperc, p.aoi} {
-		if err := decodeAcc(data, a); err != nil {
-			return nil, err
-		}
-		data = data[accSize:]
-	}
-	p.perceptibleLate = int(int64(binary.LittleEndian.Uint64(data)))
-	p.graceLate = int(int64(binary.LittleEndian.Uint64(data[8:])))
-	p.maxPerceptibleDelay = math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-	if p.perceptibleLate < 0 || p.graceLate < 0 {
-		return nil, fmt.Errorf("fleet: negative guarantee counter in policy accumulator")
-	}
-	hasBackend := data[24]
-	data = data[25:]
-	if hasBackend == 0 {
-		// The aggregate being restored into was built from the spec, so
-		// its hist nil-ness must agree with the state being restored.
-		if p.hist != nil {
-			return nil, fmt.Errorf("fleet: state has no backend block but spec carries a backend model")
-		}
-		return data, nil
-	}
-	if hasBackend != 1 {
-		return nil, fmt.Errorf("fleet: policy backend flag %d, want 0 or 1", hasBackend)
-	}
-	if p.hist == nil {
-		return nil, fmt.Errorf("fleet: state has a backend block but spec carries no backend model")
-	}
-	if len(data) < backend.DeviceStatsBinarySize {
-		return nil, fmt.Errorf("fleet: policy backend counters truncated")
-	}
-	if err := p.bk.UnmarshalBinary(data[:backend.DeviceStatsBinarySize]); err != nil {
-		return nil, err
-	}
-	blob, data, err := takeBlob(data[backend.DeviceStatsBinarySize:])
-	if err != nil {
-		return nil, err
-	}
-	hist := &backend.Histogram{}
-	if err := hist.UnmarshalBinary(blob); err != nil {
-		return nil, err
-	}
-	p.hist = hist
-	return data, nil
-}
-
-// EncodeState serializes the aggregate's complete streaming state into
-// a checksummed WFAG frame. Restoring it and continuing the fold is
-// bit-identical to never having stopped — the checkpoint file uses this
-// to persist the merged prefix of a fleet run.
-func (a *Aggregate) EncodeState() []byte {
-	payload := make([]byte, 0, 2*4096)
-	hash := SpecHash(a.spec)
-	payload = append(payload, hash[:]...)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(a.devices))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(a.leaky))
-	payload = appendPolicyAcc(payload, a.base)
-	payload = appendPolicyAcc(payload, a.test)
-	payload = appendAcc(payload, a.total)
-	payload = appendAcc(payload, a.awake)
-	payload = appendAcc(payload, a.standby)
-	return frame(stateMagic, appendAcc(payload, a.wakeup))
-}
-
-// RestoreState replaces the aggregate's streaming state with one
-// serialized by EncodeState. The frame's spec hash must match the
-// aggregate's spec — a checkpoint from an edited spec is an error, not
-// a merge.
-func (a *Aggregate) RestoreState(data []byte) error {
-	payload, err := unframe(stateMagic, data)
-	if err != nil {
-		return err
-	}
-	if len(payload) < 32+16 {
-		return fmt.Errorf("fleet: state payload is %d bytes, want at least %d", len(payload), 32+16)
-	}
-	var hash [32]byte
-	copy(hash[:], payload[:32])
-	if want := SpecHash(a.spec); hash != want {
-		return fmt.Errorf("fleet: state spec hash %x does not match aggregate spec %x", hash[:4], want[:4])
-	}
-	// Decode into a fresh aggregate so a mid-payload error cannot leave
-	// a half-restored state behind.
-	fresh := NewAggregate(a.spec)
-	fresh.devices = int(int64(binary.LittleEndian.Uint64(payload[32:])))
-	fresh.leaky = int(int64(binary.LittleEndian.Uint64(payload[40:])))
-	if fresh.devices < 0 || fresh.leaky < 0 || fresh.leaky > fresh.devices || fresh.devices > a.spec.Devices {
-		return fmt.Errorf("fleet: state counts %d devices (%d leaky) for a fleet of %d", fresh.devices, fresh.leaky, a.spec.Devices)
-	}
-	rest := payload[48:]
-	if rest, err = decodePolicyAcc(rest, fresh.base); err != nil {
-		return err
-	}
-	if rest, err = decodePolicyAcc(rest, fresh.test); err != nil {
-		return err
-	}
-	if len(rest) != 4*accSize {
-		return fmt.Errorf("fleet: state savings block is %d bytes, want %d", len(rest), 4*accSize)
-	}
-	for _, ac := range [...]*acc{fresh.total, fresh.awake, fresh.standby, fresh.wakeup} {
-		if err := decodeAcc(rest, ac); err != nil {
-			return err
-		}
-		rest = rest[accSize:]
-	}
-	*a = *fresh
-	return nil
 }

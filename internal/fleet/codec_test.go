@@ -63,111 +63,13 @@ func TestShardCodecRejectsBadFrames(t *testing.T) {
 	reframed := func(f func(b []byte)) []byte {
 		payload := append([]byte(nil), blob[frameHeaderSize:len(blob)-4]...)
 		f(payload)
-		return frame(shardMagic, payload)
+		return frame(payload)
 	}
 	if _, err := DecodeShard(reframed(func(p []byte) { p[4] = 0xee })); err == nil {
 		t.Error("inconsistent shard range accepted")
 	}
 	if _, err := DecodeShard(reframed(func(p []byte) { p[52] = 7 })); err == nil {
 		t.Error("invalid backend flag accepted")
-	}
-
-	// A state frame is not a shard frame.
-	if _, err := DecodeShard(NewAggregate(spec).EncodeState()); err == nil {
-		t.Error("state frame accepted as shard frame")
-	}
-}
-
-// TestStateRoundTripContinues is the checkpoint-resume property at the
-// aggregate layer: snapshot the state mid-merge, restore it into a
-// fresh aggregate, continue merging the remaining shards, and the final
-// Summary JSON must be byte-identical to the uninterrupted merge — for
-// every split point, in both fleet shapes.
-func TestStateRoundTripContinues(t *testing.T) {
-	for name, spec := range shardSpecs() {
-		t.Run(name, func(t *testing.T) {
-			shards := runShards(t, spec, 6)
-			ref := NewAggregate(spec)
-			for _, sa := range shards {
-				if err := ref.MergeShard(sa); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := marshalSummary(t, ref.Summary())
-
-			for split := 0; split <= len(shards); split++ {
-				first := NewAggregate(spec)
-				for _, sa := range shards[:split] {
-					if err := first.MergeShard(sa); err != nil {
-						t.Fatal(err)
-					}
-				}
-				state := first.EncodeState()
-				resumed := NewAggregate(spec)
-				if err := resumed.RestoreState(state); err != nil {
-					t.Fatal(err)
-				}
-				if resumed.Devices() != first.Devices() {
-					t.Fatalf("split %d: restored %d devices, want %d", split, resumed.Devices(), first.Devices())
-				}
-				for _, sa := range shards[split:] {
-					if err := resumed.MergeShard(sa); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := marshalSummary(t, resumed.Summary()); string(got) != string(want) {
-					t.Fatalf("split %d: resumed summary diverged:\n got %s\nwant %s", split, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestStateCodecRejectsBadFrames: corrupt or mismatched state frames
-// restore nothing.
-func TestStateCodecRejectsBadFrames(t *testing.T) {
-	spec := shardSpecs()["backend"]
-	shards := runShards(t, spec, 8)
-	agg := NewAggregate(spec)
-	if err := agg.MergeShard(shards[0]); err != nil {
-		t.Fatal(err)
-	}
-	state := agg.EncodeState()
-
-	into := NewAggregate(spec)
-	for name, b := range map[string][]byte{
-		"empty":          nil,
-		"truncated":      state[:len(state)-9],
-		"trailing bytes": append(append([]byte(nil), state...), 1),
-	} {
-		if err := into.RestoreState(b); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	flipped := append([]byte(nil), state...)
-	flipped[len(flipped)/3] ^= 0x10
-	if err := into.RestoreState(flipped); err == nil {
-		t.Error("flipped bit accepted")
-	}
-
-	other := spec
-	other.Seed++
-	if err := NewAggregate(other).RestoreState(state); err == nil {
-		t.Error("state restored into aggregate with different spec")
-	}
-
-	// A shard frame is not a state frame.
-	if err := into.RestoreState(EncodeShard(shards[0])); err == nil {
-		t.Error("shard frame accepted as state frame")
-	}
-
-	// A restore that fails must leave the aggregate untouched.
-	before := marshalSummary(t, into.Summary())
-	if err := into.RestoreState(flipped); err == nil {
-		t.Fatal("flipped bit accepted")
-	}
-	if after := marshalSummary(t, into.Summary()); string(after) != string(before) {
-		t.Error("failed restore mutated the aggregate")
 	}
 }
 
@@ -200,25 +102,6 @@ func BenchmarkDecodeShard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeShard(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStateRoundTrip encodes and restores the aggregate state —
-// the per-checkpoint cost of the supervisor's WAL append.
-func BenchmarkStateRoundTrip(b *testing.B) {
-	spec := Spec{Devices: 256, Seed: 9, Hours: 0.1}.WithDefaults()
-	sa := benchShard(b)
-	agg := NewAggregate(spec)
-	if err := agg.MergeShard(sa); err != nil {
-		b.Fatal(err)
-	}
-	into := NewAggregate(spec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := into.RestoreState(agg.EncodeState()); err != nil {
 			b.Fatal(err)
 		}
 	}

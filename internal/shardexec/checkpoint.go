@@ -16,16 +16,17 @@ import (
 //
 //	[type u8][payload length u32][payload][crc32c u32]
 //
-// with the CRC covering type, length, and payload. Three record types:
+// with the CRC covering type, length, and payload. Two record types:
 //
 //	'H' — header, always first: checkpoint version, spec hash, shard
 //	      size, device count, and the spec JSON (for tooling; the
 //	      supervisor trusts only the hash).
 //	'S' — one completed shard: a WFSH frame exactly as the worker
 //	      emitted it.
-//	'A' — the merged-prefix aggregate state: the number of shards
-//	      folded so far plus a WFAG frame. Earlier 'S' records below
-//	      that prefix are dead weight after an 'A' lands.
+//
+// A resumed run refolds every 'S' record through the same device-order
+// merge a fresh run uses, so the log needs no aggregate state of its
+// own.
 //
 // Crash model: the process (or machine) can die mid-append, leaving a
 // torn final record. Loading tolerates exactly that — the scan stops at
@@ -35,11 +36,12 @@ import (
 // so a record that scans clean was durably complete.
 
 const (
-	checkpointVersion = 1
+	// checkpointVersion changes with the set of record types, so a log
+	// from another version is refused rather than half-read.
+	checkpointVersion = 2
 
 	recHeader = 'H'
 	recShard  = 'S'
-	recState  = 'A'
 
 	recOverhead = 1 + 4 + 4
 	// maxRecordSize bounds a single record so a corrupt length field
@@ -68,15 +70,9 @@ type checkpoint struct {
 // checkpointState is everything a resumed run recovers from the log.
 type checkpointState struct {
 	header checkpointHeader
-	// foldedShards and state are from the latest 'A' record (0 / nil
-	// when none landed before the crash).
-	foldedShards int
-	state        []byte
-	// shards maps shard index → the latest WFSH frame for every 'S'
-	// record in the log.
-	shards map[int][]byte
-	// truncated reports how many trailing bytes were cut as a torn tail.
-	truncated int64
+	// shards maps shard index → the decoded shard of the latest 'S'
+	// record for it.
+	shards map[int]*fleet.ShardAggregate
 }
 
 func appendRecord(f *os.File, typ byte, payload []byte) error {
@@ -130,7 +126,7 @@ func loadCheckpoint(path string) (*checkpoint, *checkpointState, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("shardexec: open checkpoint: %w", err)
 	}
-	st := &checkpointState{shards: make(map[int][]byte)}
+	st := &checkpointState{shards: make(map[int]*fleet.ShardAggregate)}
 	var off int64
 	sawHeader := false
 	for {
@@ -142,12 +138,6 @@ func loadCheckpoint(path string) (*checkpoint, *checkpointState, error) {
 			// Torn or corrupt tail: everything from off onward is
 			// untrusted. Cut it so future appends start at a clean
 			// record boundary.
-			end, serr := f.Seek(0, io.SeekEnd)
-			if serr != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("shardexec: checkpoint seek: %w", serr)
-			}
-			st.truncated = end - off
 			if terr := f.Truncate(off); terr != nil {
 				f.Close()
 				return nil, nil, fmt.Errorf("shardexec: truncate torn checkpoint tail: %w", terr)
@@ -183,14 +173,7 @@ func loadCheckpoint(path string) (*checkpoint, *checkpointState, error) {
 				f.Close()
 				return nil, nil, fmt.Errorf("shardexec: checkpoint shard record: %w", err)
 			}
-			st.shards[sa.Index] = payload
-		case recState:
-			if len(payload) < 4 {
-				f.Close()
-				return nil, nil, errors.New("shardexec: checkpoint state record truncated")
-			}
-			st.foldedShards = int(binary.LittleEndian.Uint32(payload))
-			st.state = payload[4:]
+			st.shards[sa.Index] = sa
 		default:
 			f.Close()
 			return nil, nil, fmt.Errorf("shardexec: unknown checkpoint record type %q", rec)
@@ -238,14 +221,6 @@ func readRecord(f *os.File) (typ byte, payload []byte, err error) {
 // appendShard persists one completed shard frame.
 func (c *checkpoint) appendShard(frame []byte) error {
 	return appendRecord(c.f, recShard, frame)
-}
-
-// appendState persists the merged-prefix aggregate state.
-func (c *checkpoint) appendState(foldedShards int, state []byte) error {
-	payload := make([]byte, 0, 4+len(state))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(foldedShards))
-	payload = append(payload, state...)
-	return appendRecord(c.f, recState, payload)
 }
 
 func (c *checkpoint) Close() error {

@@ -3,10 +3,16 @@ package shardexec
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // TestCheckpointResumeRunsOnlyMissingShards is the acceptance scenario:
@@ -194,43 +200,170 @@ func TestCheckpointRejectsGarbageFile(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeSkipsStateReplay: once an 'A' record covers a
-// prefix, resume restores the state instead of replaying those shard
-// frames — verified by corrupting an early shard record that the state
-// has superseded.
-func TestCheckpointResumeSkipsStateReplay(t *testing.T) {
-	spec := testSpec(false)
+// logRecord is one record of a checkpoint log as readRecord returns it.
+type logRecord struct {
+	typ     byte
+	payload []byte
+}
+
+// readLog reads every record of a checkpoint log.
+func readLog(t *testing.T, path string) []logRecord {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []logRecord
+	for {
+		typ, payload, err := readRecord(f)
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, logRecord{typ, payload})
+	}
+}
+
+// writeLog replaces a checkpoint log with the given records.
+func writeLog(t *testing.T, path string, recs []logRecord) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, r := range recs {
+		if err := appendRecord(f, r.typ, r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointLogHoldsHeaderAndShards pins the log format: a
+// checkpointed run writes one 'H' record and then one 'S' record per
+// shard, and nothing else; resuming the complete log launches no
+// worker and reproduces fleet.Run's summary byte for byte; and a log
+// whose header carries version 1 is refused.
+func TestCheckpointLogHoldsHeaderAndShards(t *testing.T) {
+	spec := testSpec(true)
 	want := cleanSummary(t, spec)
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
 	opts := testOptions(t, nil)
+	opts.Procs = 3
+	opts.ShardSize = 4
+	opts.Checkpoint = ckpt
+	res, err := Run(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recs := readLog(t, ckpt)
+	if len(recs) != 1+res.Shards {
+		t.Fatalf("log holds %d records, want 'H' plus %d shard records", len(recs), res.Shards)
+	}
+	if recs[0].typ != recHeader {
+		t.Fatalf("log starts with a %q record, want 'H'", recs[0].typ)
+	}
+	seen := make(map[int]bool)
+	for i, r := range recs[1:] {
+		if r.typ != recShard {
+			t.Fatalf("record %d has type %q, want 'S'", i+1, r.typ)
+		}
+		sa, err := fleet.DecodeShard(r.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[sa.Index] {
+			t.Fatalf("shard %d logged twice", sa.Index)
+		}
+		seen[sa.Index] = true
+	}
+
+	opts.Resume = true
+	res, err = Run(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts != 0 || res.Resumed != res.Shards {
+		t.Fatalf("attempts=%d resumed=%d of %d, want 0 attempts and a full resume", res.Attempts, res.Resumed, res.Shards)
+	}
+	if got := resultSummary(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("resumed summary diverged:\n got %s\nwant %s", got, want)
+	}
+
+	var hdr checkpointHeader
+	if err := json.Unmarshal(recs[0].payload, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr.Version = 1
+	old, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeLog(t, ckpt, append([]logRecord{{recHeader, old}}, recs[1:]...))
+	wantErr := fmt.Sprintf("checkpoint version 1, want %d", checkpointVersion)
+	if _, err := Run(context.Background(), spec, opts); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("version 1 log resumed: %v", err)
+	}
+}
+
+// TestCheckpointResumeReportsCachedShardsInOrder: a resume whose log
+// holds shards 0, 1 and 3 of 5 reports each of them as "cached" exactly
+// once, in index order, runs only shards 2 and 4, and reports every
+// merge to Progress in device order, the recovered shards included.
+func TestCheckpointResumeReportsCachedShardsInOrder(t *testing.T) {
+	spec := testSpec(false) // 20 devices: 5 shards of 4
+	want := cleanSummary(t, spec)
+	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+	opts := testOptions(t, nil)
+	opts.Procs = 3
 	opts.ShardSize = 4
 	opts.Checkpoint = ckpt
 	if _, err := Run(context.Background(), spec, opts); err != nil {
 		t.Fatal(err)
 	}
-	// Load to find the final state record; the log must end with one
-	// covering all shards (one is written after every merge).
-	ck, st, err := loadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
+	recs := readLog(t, ckpt)
+	kept := recs[:1]
+	for _, r := range recs[1:] {
+		sa, err := fleet.DecodeShard(r.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa.Index != 2 && sa.Index != 4 {
+			kept = append(kept, r)
+		}
 	}
-	ck.Close()
-	if st.foldedShards != 5 || st.state == nil {
-		t.Fatalf("log's final state covers %d shards, want 5", st.foldedShards)
-	}
+	writeLog(t, ckpt, kept)
 
-	opts2 := testOptions(t, nil)
-	opts2.ShardSize = 4
-	opts2.Checkpoint = ckpt
-	opts2.Resume = true
-	res, err := Run(context.Background(), spec, opts2)
+	opts.Resume = true
+	var cached, started, progress []int
+	opts.OnShard = func(ev ShardEvent) {
+		switch ev.State {
+		case "cached":
+			cached = append(cached, ev.Index)
+		case "start":
+			started = append(started, ev.Index)
+		}
+	}
+	opts.Progress = func(done, total int) { progress = append(progress, done) }
+	res, err := Run(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 0 {
-		t.Fatalf("state-backed resume launched %d attempts, want 0", res.Attempts)
+	sort.Ints(started)
+	if fmt.Sprint(cached) != "[0 1 3]" || fmt.Sprint(started) != "[2 4]" {
+		t.Fatalf("cached %v and started %v, want [0 1 3] and [2 4]", cached, started)
+	}
+	if fmt.Sprint(progress) != "[4 8 12 16 20]" {
+		t.Fatalf("progress reported %v devices, want [4 8 12 16 20]", progress)
+	}
+	if res.Resumed != 3 || res.Attempts != 2 {
+		t.Fatalf("resumed=%d attempts=%d, want 3 and 2", res.Resumed, res.Attempts)
 	}
 	if got := resultSummary(t, res); !bytes.Equal(got, want) {
-		t.Fatal("state-backed resumed summary diverged")
+		t.Fatal("resumed summary diverged")
 	}
 }

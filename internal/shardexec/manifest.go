@@ -14,8 +14,8 @@
 // quarantined after a bounded number of attempts and the run returns a
 // partial result with joined errors, mirroring fleet.Run's contract. An
 // optional checkpoint file (an append-only, checksummed record log)
-// persists completed shards and the merged prefix state, so a run
-// killed mid-flight resumes by re-running only the missing shards.
+// persists every completed shard, so a run killed mid-flight resumes by
+// refolding the logged shards and re-running only the missing ones.
 package shardexec
 
 import (

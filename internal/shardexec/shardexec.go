@@ -191,8 +191,8 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	res := &Result{Spec: spec, Shards: shards, Agg: fleet.NewAggregate(spec)}
 	merged := 0 // shards folded into res.Agg
 	// pending holds completed shards waiting for their turn in the
-	// device-order merge (out-of-order worker completions, and
-	// checkpointed shards beyond a gap).
+	// device-order merge: out-of-order worker completions, and every
+	// shard recovered from the checkpoint.
 	pending := make(map[int]*fleet.ShardAggregate)
 
 	var ck *checkpoint
@@ -205,24 +205,18 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 		}
 		defer ck.Close()
 		if st != nil {
-			if err := restoreFromCheckpoint(res, st, pending, &merged, shardSize); err != nil {
-				return nil, err
-			}
-			for idx := range pending {
-				lo, hi := rangeOf(idx)
-				emit(ShardEvent{Index: idx, Lo: lo, Hi: hi, State: "cached"})
-			}
-			for i := 0; i < merged; i++ {
-				lo, hi := rangeOf(i)
-				emit(ShardEvent{Index: i, Lo: lo, Hi: hi, State: "cached"})
-			}
+			pending = st.shards
 		}
 	}
 
-	// The plan: every shard not recovered from the checkpoint.
+	// The plan: every shard not recovered from the checkpoint. Each
+	// recovered shard is reported once, in index order.
 	var todo []int
-	for i := merged; i < shards; i++ {
-		if _, ok := pending[i]; !ok {
+	for i := 0; i < shards; i++ {
+		if _, ok := pending[i]; ok {
+			lo, hi := rangeOf(i)
+			emit(ShardEvent{Index: i, Lo: lo, Hi: hi, State: "cached"})
+		} else {
 			todo = append(todo, i)
 		}
 	}
@@ -255,8 +249,7 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	}()
 
 	// mergeReady folds every contiguously-available shard, emitting
-	// progress, snapshots, and an aggregate-state checkpoint record
-	// after each merge.
+	// progress and snapshots after each merge.
 	var mergeErr error
 	mergeReady := func() {
 		for {
@@ -284,15 +277,9 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 			if opts.Snapshot != nil && (done/snapEvery > before/snapEvery || merged == shards) {
 				opts.Snapshot(done, spec.Devices, res.Agg.Summary())
 			}
-			if ck != nil {
-				if err := ck.appendState(merged, res.Agg.EncodeState()); err != nil && mergeErr == nil {
-					mergeErr = err
-					aborted.Store(true)
-				}
-			}
 		}
 	}
-	mergeReady() // checkpointed shards beyond the restored prefix
+	mergeReady() // the contiguous prefix recovered from the checkpoint
 
 	var quarantineErrs []error
 	cancelled := false
@@ -371,41 +358,6 @@ func openOrCreate(path string, spec fleet.Spec, shardSize int, resume bool) (*ch
 	}
 	ck, err := createCheckpoint(path, spec, shardSize)
 	return ck, nil, err
-}
-
-// restoreFromCheckpoint rebuilds the supervisor's merge state from a
-// loaded log: restore the latest aggregate state, then stage every
-// shard frame at or beyond the restored prefix for the in-order merge.
-func restoreFromCheckpoint(res *Result, st *checkpointState, pending map[int]*fleet.ShardAggregate, merged *int, shardSize int) error {
-	if st.state != nil {
-		if err := res.Agg.RestoreState(st.state); err != nil {
-			return fmt.Errorf("shardexec: restore checkpoint state: %w", err)
-		}
-		*merged = st.foldedShards
-		if got, want := res.Agg.Devices(), prefixDevices(st.foldedShards, shardSize, res.Spec.Devices); got != want {
-			return fmt.Errorf("shardexec: checkpoint state holds %d devices, want %d for %d shards", got, want, st.foldedShards)
-		}
-	}
-	for idx, frame := range st.shards {
-		if idx < *merged {
-			continue // already inside the restored prefix
-		}
-		sa, err := fleet.DecodeShard(frame)
-		if err != nil {
-			return fmt.Errorf("shardexec: checkpoint shard %d: %w", idx, err)
-		}
-		pending[idx] = sa
-	}
-	return nil
-}
-
-// prefixDevices is how many devices the first n shards cover.
-func prefixDevices(n, shardSize, total int) int {
-	d := n * shardSize
-	if d > total {
-		d = total
-	}
-	return d
 }
 
 // runShardProcess executes one shard to completion: launch a worker,
