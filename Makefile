@@ -1,7 +1,8 @@
 # Development targets for the SIMTY-Go reproduction.
 #
 #   make verify   — the full pre-merge gate, one named target per check:
-#                   vet, build, race (the suite under -race), hammer (a
+#                   vet (go vet, and gofmt must list no tracked Go
+#                   file), build, race (the suite under -race), hammer (a
 #                   repeated race pass over the parallel-harness paths),
 #                   fuzz-smoke (a short pass over every FUZZTARGETS
 #                   entry), kill-a-worker (the multi-process shard
@@ -55,6 +56,19 @@ FUZZTARGETS = \
 	./internal/tournament:FuzzTournamentSpec
 FUZZTIME ?= 10s
 
+# Race-hammer selection: test-name patterns and the packages they run
+# in. hammer joins HAMMERTESTS into one -run alternation.
+HAMMERTESTS = RunAll RunTrials CompareTrials Sweep GoldenRecordParity \
+	Fleet Concurrent Drain SSE Daemon PooledMatchesUnpooled NoTraceParity \
+	Backend Herd Readyz Heartbeat Shard Checkpoint Manifest MultiProcess \
+	Scoreboard Tournament PerceptibleGuarantee
+HAMMERPKGS = ./internal/simclock/ ./internal/sim/ ./internal/fleet/ \
+	./internal/runstore/ ./internal/httpapi/ ./internal/backend/ \
+	./internal/shardexec/ ./internal/tournament/ ./cmd/wakesimd/ \
+	./cmd/wakesim/ .
+empty :=
+space := $(empty) $(empty)
+
 # Coverage floor (percent) for the core packages.
 COVERMIN ?= 70
 COVERPKGS = ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
@@ -65,7 +79,7 @@ race:
 	$(GO) test -race ./...
 
 hammer:
-	$(GO) test -race -count=2 -run 'RunAll|RunTrials|CompareTrials|Sweep|GoldenRecordParity|Fleet|Concurrent|Drain|SSE|Daemon|PooledMatchesUnpooled|NoTraceParity|Backend|Herd|Readyz|Heartbeat|Shard|Checkpoint|Manifest|MultiProcess|Scoreboard|Tournament|PerceptibleGuarantee' ./internal/simclock/ ./internal/sim/ ./internal/fleet/ ./internal/runstore/ ./internal/httpapi/ ./internal/backend/ ./internal/shardexec/ ./internal/tournament/ ./cmd/wakesimd/ ./cmd/wakesim/ .
+	$(GO) test -race -count=2 -run '$(subst $(space),|,$(strip $(HAMMERTESTS)))' $(strip $(HAMMERPKGS))
 
 fuzz-smoke:
 	@for t in $(FUZZTARGETS); do \
@@ -104,8 +118,11 @@ cover:
 fuzz:
 	$(MAKE) fuzz-smoke FUZZTIME=2m
 
+# vet also fails when gofmt would reformat any tracked Go file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

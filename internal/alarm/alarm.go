@@ -133,17 +133,6 @@ func (a *Alarm) WindowEnd() simclock.Time { return a.Nominal.Add(a.Window) }
 // registered grace attribute.
 func (a *Alarm) GraceEnd() simclock.Time { return a.Nominal.Add(a.Grace) }
 
-// EffectiveDeadline is the latest acceptable delivery time under the
-// paper's user-experience rules: the window end for perceptible alarms,
-// the grace end for imperceptible ones. (Non-wakeup alarms may still
-// exceed it while the device sleeps.)
-func (a *Alarm) EffectiveDeadline() simclock.Time {
-	if a.Perceptible() {
-		return a.WindowEnd()
-	}
-	return a.GraceEnd()
-}
-
 // Validate checks the alarm's attribute invariants.
 func (a *Alarm) Validate() error {
 	switch {

@@ -70,18 +70,6 @@ func TestPerceptibility(t *testing.T) {
 	}
 }
 
-func TestEffectiveDeadline(t *testing.T) {
-	a := &Alarm{ID: "a", Repeat: Static, Period: 100 * sec, Nominal: 0,
-		Window: 10 * sec, Grace: 90 * sec, HW: hw.MakeSet(hw.WiFi), HWKnown: true}
-	if got := a.EffectiveDeadline(); got != simclock.Time(90*sec) {
-		t.Fatalf("imperceptible deadline = %v, want grace end", got)
-	}
-	a.HW = hw.MakeSet(hw.Speaker)
-	if got := a.EffectiveDeadline(); got != simclock.Time(10*sec) {
-		t.Fatalf("perceptible deadline = %v, want window end", got)
-	}
-}
-
 func TestAlarmStrings(t *testing.T) {
 	a := &Alarm{ID: "x", App: "app", Kind: NonWakeup, Repeat: Dynamic, Period: sec}
 	s := a.String()

@@ -109,9 +109,6 @@ func NewManager(clock *simclock.Clock, host Host, policy Policy) *Manager {
 	return m
 }
 
-// Policy returns the alignment policy in use.
-func (m *Manager) Policy() Policy { return m.policy }
-
 // SetRealign toggles realignment-on-reinsert (ablation 3 in DESIGN.md).
 func (m *Manager) SetRealign(on bool) { m.realign = on }
 
@@ -161,19 +158,6 @@ func (m *Manager) Set(a *Alarm) error {
 	}
 	m.reschedule()
 	return nil
-}
-
-// Cancel removes a queued alarm by ID, reporting whether it was found.
-// Both queues are always searched: even if an ID were ever duplicated
-// across kinds, Cancel removes every copy.
-func (m *Manager) Cancel(id string) bool {
-	foundWake := m.wakeQ.Remove(id) != nil
-	foundNonWake := m.nonwakeQ.Remove(id) != nil
-	found := foundWake || foundNonWake
-	if found {
-		m.reschedule()
-	}
-	return found
 }
 
 // Pending reports the total number of queued alarms.

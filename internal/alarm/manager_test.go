@@ -187,22 +187,6 @@ func TestManagerLearnsHardware(t *testing.T) {
 	}
 }
 
-func TestManagerCancel(t *testing.T) {
-	c, _, m, recs := setup(t, Native{}, 0)
-	a := &Alarm{ID: "x", Repeat: OneShot, Nominal: simclock.Time(10 * sec)}
-	m.Set(a)
-	if !m.Cancel("x") {
-		t.Fatal("cancel failed")
-	}
-	if m.Cancel("x") {
-		t.Fatal("double cancel succeeded")
-	}
-	c.Run(simclock.Time(60 * sec))
-	if len(*recs) != 0 {
-		t.Fatal("cancelled alarm delivered")
-	}
-}
-
 func TestManagerKindChangeRemovesStaleCopy(t *testing.T) {
 	// Regression: re-registering an alarm with a changed Kind must
 	// remove the old instance from the other queue. The seed only
@@ -233,32 +217,6 @@ func TestManagerKindChangeRemovesStaleCopy(t *testing.T) {
 		if (*recs)[0].Kind != NonWakeup {
 			t.Fatalf("realign=%t: delivered kind = %v, want non-wakeup", realign, (*recs)[0].Kind)
 		}
-	}
-}
-
-func TestManagerCancelRemovesFromBothQueues(t *testing.T) {
-	// Regression: the seed short-circuited Cancel
-	// (wakeQ.Remove != nil || nonwakeQ.Remove != nil), so an ID
-	// duplicated across the two queues lost only one copy. Manager.Set
-	// no longer creates such duplicates, but Cancel must stay robust if
-	// queues are populated directly.
-	_, _, m, _ := setup(t, Native{}, 0)
-	mk := func(k Kind) *Alarm {
-		return &Alarm{ID: "dup", Kind: k, Repeat: OneShot, Nominal: simclock.Time(10 * sec)}
-	}
-	m.QueueFor(Wakeup).Insert(mk(Wakeup), Native{}, 0)
-	m.QueueFor(NonWakeup).Insert(mk(NonWakeup), Native{}, 0)
-	if m.Pending() != 2 {
-		t.Fatalf("pending = %d, want both copies queued", m.Pending())
-	}
-	if !m.Cancel("dup") {
-		t.Fatal("cancel missed the alarm")
-	}
-	if m.Pending() != 0 {
-		t.Fatalf("pending = %d after cancel, want 0 (both copies removed)", m.Pending())
-	}
-	if m.Cancel("dup") {
-		t.Fatal("second cancel reported a find")
 	}
 }
 

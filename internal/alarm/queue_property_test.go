@@ -130,7 +130,7 @@ func (joinAny) Select(entries []*Entry, _ *Alarm, _ simclock.Time) int {
 }
 
 // TestPropertyManagerCrossQueueConsistency drives random
-// Set/Cancel/re-register sequences — including Kind changes on
+// register/re-register sequences — including Kind changes on
 // re-registration — through a Manager and checks, after every
 // operation, that alarm IDs stay unique across both queues and that
 // each queue's ID index stays consistent with its entry list.
@@ -142,29 +142,23 @@ func TestPropertyManagerCrossQueueConsistency(t *testing.T) {
 			m := NewManager(c, h, Native{})
 			m.SetRealign(realign)
 			for i, op := range ops {
-				id := fmt.Sprintf("m%d", int(op)%16)
-				switch {
-				case op%7 == 0:
-					m.Cancel(id)
-				default:
-					kind := Wakeup
-					if op%3 == 0 {
-						kind = NonWakeup
-					}
-					period := simclock.Duration(60+int(op)%600) * simclock.Second
-					a := &Alarm{
-						ID: id, Kind: kind, Repeat: Static,
-						Nominal: simclock.Time(simclock.Duration(int(op)%1000) * simclock.Second),
-						Period:  period,
-						Window:  period / 4,
-						Grace:   period / 2,
-						HW:      hw.MakeSet(hw.WiFi),
-						HWKnown: op%2 == 0,
-					}
-					if err := m.Set(a); err != nil {
-						t.Logf("realign=%t op %d: Set: %v", realign, i, err)
-						return false
-					}
+				kind := Wakeup
+				if op%3 == 0 {
+					kind = NonWakeup
+				}
+				period := simclock.Duration(60+int(op)%600) * simclock.Second
+				a := &Alarm{
+					ID: fmt.Sprintf("m%d", int(op)%16), Kind: kind, Repeat: Static,
+					Nominal: simclock.Time(simclock.Duration(int(op)%1000) * simclock.Second),
+					Period:  period,
+					Window:  period / 4,
+					Grace:   period / 2,
+					HW:      hw.MakeSet(hw.WiFi),
+					HWKnown: op%2 == 0,
+				}
+				if err := m.Set(a); err != nil {
+					t.Logf("realign=%t op %d: Set: %v", realign, i, err)
+					return false
 				}
 				wq, nq := m.QueueFor(Wakeup), m.QueueFor(NonWakeup)
 				for _, q := range []*Queue{wq, nq} {

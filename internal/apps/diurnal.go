@@ -140,7 +140,9 @@ func (p *DayProfile) NextActiveStart(t simclock.Time) (simclock.Time, bool) {
 
 // MaxPushScale and MaxScreenScale return the profile's peak scales —
 // the envelope rates the simulator thins candidate events against.
-func (p *DayProfile) MaxPushScale() float64 { return p.maxScale(func(ph Phase) float64 { return ph.PushScale }) }
+func (p *DayProfile) MaxPushScale() float64 {
+	return p.maxScale(func(ph Phase) float64 { return ph.PushScale })
+}
 
 // MaxScreenScale returns the peak screen-session scale.
 func (p *DayProfile) MaxScreenScale() float64 {

@@ -79,12 +79,12 @@ func TestDayProfileValidateRejects(t *testing.T) {
 	bad := []*DayProfile{
 		nil,
 		{},
-		{Phases: []Phase{{Start: h, End: Day}}},                                              // gap at midnight
-		{Phases: []Phase{{Start: 0, End: 12 * h}}},                                           // short of 24h
-		{Phases: []Phase{{Start: 0, End: 0}}},                                                // empty phase
-		{Phases: []Phase{{Start: 0, End: Day, PushScale: -1}}},                               // negative scale
-		{Phases: []Phase{{Start: 0, End: 12 * h}, {Start: 13 * h, End: Day}}},                // interior gap
-		{Phases: []Phase{{Start: 0, End: Day, PushScale: nan(), ScreenScale: 1}}},            // NaN scale
+		{Phases: []Phase{{Start: h, End: Day}}}, // gap at midnight
+		{Phases: []Phase{{Start: 0, End: 12 * h}}},                                // short of 24h
+		{Phases: []Phase{{Start: 0, End: 0}}},                                     // empty phase
+		{Phases: []Phase{{Start: 0, End: Day, PushScale: -1}}},                    // negative scale
+		{Phases: []Phase{{Start: 0, End: 12 * h}, {Start: 13 * h, End: Day}}},     // interior gap
+		{Phases: []Phase{{Start: 0, End: Day, PushScale: nan(), ScreenScale: 1}}}, // NaN scale
 		{Phases: []Phase{{Start: 0, End: 12 * h}, {Start: 12 * h, End: Day + simclock.Hour}}} /* overrun */}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -19,12 +19,8 @@ func TestHistogramRoundTripExact(t *testing.T) {
 		for i, n := 0, rng.Intn(50); i < n; i++ {
 			h.Buckets[int64(rng.Intn(2000)-1000)] += int64(1 + rng.Intn(10000))
 		}
-		blob, err := h.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob2, _ := h.MarshalBinary()
-		if string(blob) != string(blob2) {
+		blob := h.AppendBinary(nil)
+		if string(blob) != string(h.AppendBinary(nil)) {
 			t.Fatal("histogram encoding is not deterministic")
 		}
 		var got Histogram
@@ -48,10 +44,7 @@ func TestHistogramRoundTripExact(t *testing.T) {
 func TestDeviceStatsRoundTripExact(t *testing.T) {
 	s := DeviceStats{Requests: 101, Shed: 17, ShedAttempts: 23, Retries: 19,
 		Redelivered: 11, Dropped: 3, Pending: 3, Reconnects: 44}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := s.AppendBinary(nil)
 	if len(blob) != DeviceStatsBinarySize {
 		t.Fatalf("device stats are %d bytes, want %d", len(blob), DeviceStatsBinarySize)
 	}
@@ -70,7 +63,7 @@ func TestCodecRejectsBadPayloads(t *testing.T) {
 	h := NewHistogram(10 * simclock.Second)
 	h.Buckets[4] = 7
 	h.Buckets[9] = 2
-	blob, _ := h.MarshalBinary()
+	blob := h.AppendBinary(nil)
 
 	var into Histogram
 	for name, b := range map[string][]byte{
@@ -106,7 +99,7 @@ func TestCodecRejectsBadPayloads(t *testing.T) {
 	}
 
 	var ds DeviceStats
-	good, _ := ds.MarshalBinary()
+	good := ds.AppendBinary(nil)
 	if err := ds.UnmarshalBinary(good[:DeviceStatsBinarySize-1]); err == nil {
 		t.Error("truncated device stats accepted")
 	}

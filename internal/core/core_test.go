@@ -374,10 +374,3 @@ func TestPropertySimtySelectsBestApplicable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -22,7 +22,7 @@ func JitterPhase(seed int64, spread simclock.Duration) simclock.Duration {
 	if spread <= 0 {
 		return 0
 	}
-	return simclock.Duration(simclock.Rand(seed+7).Int63n(int64(spread)))
+	return simclock.Duration(simclock.Rand(seed + 7).Int63n(int64(spread)))
 }
 
 // The SIMTY family registers at package load; internal/sim imports this

@@ -143,9 +143,6 @@ func (d *Device) Accountant() *power.Accountant { return d.acct }
 // Wakelocks exposes the device's wakelock manager (for trace hooks).
 func (d *Device) Wakelocks() *hw.WakelockManager { return d.wl }
 
-// Profile returns the power profile in use.
-func (d *Device) Profile() *power.Profile { return d.profile }
-
 // Awake implements alarm.Host: true once the wake transition completed.
 func (d *Device) Awake() bool { return d.st == awake }
 
@@ -184,11 +181,6 @@ func (d *Device) ExecuteWake(fn func()) {
 		d.clock.After(lat, d.finishWakeFn)
 	}
 }
-
-// ExternalWake models an externally caused wakeup (the user pressing the
-// power button, an incoming push message): the device wakes, flushes
-// whatever the wake subscribers deliver, and dozes back off.
-func (d *Device) ExternalWake() { d.ExecuteWake(func() {}) }
 
 func (d *Device) wakeLatency() simclock.Duration {
 	lo, hi := d.profile.WakeLatencyMin, d.profile.WakeLatencyMax

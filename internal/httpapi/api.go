@@ -62,11 +62,6 @@ type Options struct {
 	// ShardSize is the device range per worker process when Procs > 0;
 	// ≤ 0 means shardexec.DefaultShardSize.
 	ShardSize int
-	// WorkerArgv/WorkerEnv forward to shardexec.Options: the worker
-	// command line (empty means this executable -shardworker) and extra
-	// child environment entries.
-	WorkerArgv []string
-	WorkerEnv  []string
 }
 
 // DefaultHeartbeat is the idle SSE keep-alive interval when
@@ -233,8 +228,6 @@ func (s *Server) shardedFleetExec(spec fleet.Spec) runstore.Exec {
 			Procs:         s.opts.Procs,
 			ShardSize:     s.opts.ShardSize,
 			Workers:       s.opts.Workers,
-			WorkerArgv:    s.opts.WorkerArgv,
-			WorkerEnv:     s.opts.WorkerEnv,
 			SnapshotEvery: s.opts.SnapshotEvery,
 			Progress: func(done, total int) {
 				h.SetProgress(done, total)

@@ -16,10 +16,10 @@ import (
 	"repro/internal/shardexec"
 )
 
-// TestMain lets the test binary double as the shard worker for the
-// sharded-execution tests (the same re-exec scheme internal/shardexec
-// uses): the service's WorkerArgv points back at this binary, and the
-// env marker routes the child into the worker entry point.
+// TestMain lets the test binary stand in for a -shardworker child: in
+// multi-process mode the service re-executes os.Executable() — this
+// test binary — as its shard workers, and the env marker the sharded
+// tests set routes those children into the worker entry point.
 // HTTPAPI_TEST_FAIL_SHARD injects one transient fault — the named shard
 // exits non-zero on its first attempt — so the retry path is observable
 // over HTTP.
@@ -46,15 +46,14 @@ func shardedTestWorker() int {
 
 // newShardedTestServer stands the service up in multi-process mode: two
 // worker processes, 16-device shards, this test binary as the worker.
-func newShardedTestServer(t *testing.T, extraEnv ...string) (*httptest.Server, *runstore.Store) {
+func newShardedTestServer(t *testing.T) (*httptest.Server, *runstore.Store) {
 	t.Helper()
+	t.Setenv("HTTPAPI_TEST_SHARDWORKER", "1")
 	store := runstore.New(2)
 	ts := httptest.NewServer(New(store, Options{
 		SnapshotEvery: 100,
 		Procs:         2,
 		ShardSize:     16,
-		WorkerArgv:    []string{os.Args[0]},
-		WorkerEnv:     append([]string{"HTTPAPI_TEST_SHARDWORKER=1"}, extraEnv...),
 	}))
 	t.Cleanup(func() {
 		ts.Close()
@@ -99,7 +98,8 @@ func TestShardedFleetByteIdentity(t *testing.T) {
 // retry, the stored counters must count it, and the final aggregate
 // must still be byte-identical to the crash-free direct run.
 func TestShardedFleetSSERetry(t *testing.T) {
-	ts, _ := newShardedTestServer(t, "HTTPAPI_TEST_FAIL_SHARD=1")
+	t.Setenv("HTTPAPI_TEST_FAIL_SHARD", "1")
+	ts, _ := newShardedTestServer(t)
 	status, run := post(t, ts.URL+"/fleets", fleetSpecJSON)
 	if status != http.StatusAccepted {
 		t.Fatalf("POST /fleets = %d", status)

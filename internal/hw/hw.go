@@ -57,9 +57,6 @@ func (c Component) String() string {
 	return fmt.Sprintf("Component(%d)", uint8(c))
 }
 
-// Valid reports whether c names a real component.
-func (c Component) Valid() bool { return c < numComponents }
-
 // Set is a bitmask of components. The zero Set is empty, which is a
 // meaningful state: a newly registered alarm's hardware set is empty until
 // its first delivery reveals what it wakelocks (paper §3.1.1 footnote 4).
@@ -82,9 +79,6 @@ func (s Set) Intersect(t Set) Set { return s & t }
 
 // Contains reports whether c is in s.
 func (s Set) Contains(c Component) bool { return s&(1<<c) != 0 }
-
-// ContainsAll reports whether every component of t is in s.
-func (s Set) ContainsAll(t Set) bool { return s&t == t }
 
 // Intersects reports whether s and t share any component.
 func (s Set) Intersects(t Set) bool { return s&t != 0 }

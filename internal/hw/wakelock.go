@@ -81,29 +81,5 @@ func (m *WakelockManager) Release(s Set) {
 	}
 }
 
-// Held reports whether component c currently has any holders.
-func (m *WakelockManager) Held(c Component) bool { return m.counts[c] > 0 }
-
 // Holders reports the current refcount of component c.
 func (m *WakelockManager) Holders(c Component) int { return m.counts[c] }
-
-// AnyHeld reports whether any component has holders.
-func (m *WakelockManager) AnyHeld() bool {
-	for _, n := range m.counts {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// HeldSet returns the set of components with at least one holder.
-func (m *WakelockManager) HeldSet() Set {
-	var s Set
-	for c := Component(0); c < numComponents; c++ {
-		if m.counts[c] > 0 {
-			s |= 1 << c
-		}
-	}
-	return s
-}

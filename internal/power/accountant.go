@@ -127,9 +127,6 @@ func (a *Accountant) SetAwake(awake bool) {
 	}
 }
 
-// Awake reports the device awake state as seen by the accountant.
-func (a *Accountant) Awake() bool { return a.awake }
-
 // ComponentOn implements hw.TransitionListener. Turning a component on
 // pays its activation overhead unless the component is still in its tail
 // period from a previous use.

@@ -33,11 +33,6 @@ type Options struct {
 	// worker OS processes (internal/shardexec) instead of the in-process
 	// pool; the resulting table is byte-identical.
 	Procs int
-	// WorkerArgv/WorkerEnv forward to shardexec.Options when Procs > 0:
-	// the worker command line (empty means this executable with
-	// -shardworker) and extra child environment entries.
-	WorkerArgv []string
-	WorkerEnv  []string
 }
 
 // runOpts forwards the pool tuning to the parallel runner.

@@ -52,11 +52,9 @@ func Fleet(o Options) (*Table, error) {
 	var wall time.Duration
 	if o.Procs > 0 {
 		r, err := shardexec.Run(context.Background(), spec, shardexec.Options{
-			Procs:      o.Procs,
-			Workers:    o.Workers,
-			WorkerArgv: o.WorkerArgv,
-			WorkerEnv:  o.WorkerEnv,
-			Progress:   progress,
+			Procs:    o.Procs,
+			Workers:  o.Workers,
+			Progress: progress,
 		})
 		if err != nil {
 			return nil, err

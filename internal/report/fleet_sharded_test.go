@@ -10,9 +10,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestMain lets the test binary double as the shard worker: the sharded
-// fleet test points Options.WorkerArgv back at this binary, and the env
-// marker routes the re-executed child into the worker entry point.
+// TestMain lets the test binary stand in for a -shardworker child: the
+// supervisor re-executes os.Executable() — this test binary — as its
+// shard workers, and the env marker the sharded fleet test sets routes
+// those children into the worker entry point.
 func TestMain(m *testing.M) {
 	if os.Getenv("REPORT_TEST_SHARDWORKER") == "1" {
 		os.Exit(shardexec.WorkerMain(context.Background(), os.Stdin, os.Stdout, os.Stderr))
@@ -32,8 +33,7 @@ func TestFleetShardedMatchesInProcess(t *testing.T) {
 	}
 
 	opts.Procs = 2
-	opts.WorkerArgv = []string{os.Args[0]}
-	opts.WorkerEnv = []string{"REPORT_TEST_SHARDWORKER=1"}
+	t.Setenv("REPORT_TEST_SHARDWORKER", "1")
 	sharded, err := Fleet(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -26,12 +26,7 @@ func Tournament(o Options) (*Table, error) {
 	o = o.withDefaults()
 
 	spec := tournament.Spec{Seed: o.Seed, Devices: devices}
-	topts := tournament.Options{
-		Workers:    o.Workers,
-		Procs:      o.Procs,
-		WorkerArgv: o.WorkerArgv,
-		WorkerEnv:  o.WorkerEnv,
-	}
+	topts := tournament.Options{Workers: o.Workers, Procs: o.Procs}
 	if o.Progress != nil {
 		topts.Progress = func(regime, policy string, done, total int) {
 			o.Progress(sim.Progress{Done: done, Total: total,

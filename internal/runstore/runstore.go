@@ -109,10 +109,6 @@ func (h Handle) SetShardStats(attempts, retries int) {
 	h.e.mu.Unlock()
 }
 
-// Context returns the run's cancellation context — the one a DELETE or
-// shutdown cancels.
-func (h Handle) Context() context.Context { return h.e.ctx }
-
 // Exec performs the submitted work. The returned value is stored as the
 // run's Result; returning a non-nil value alongside an error stores a
 // partial result with the failure (fleet.Run's partial-aggregate

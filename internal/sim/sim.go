@@ -244,8 +244,8 @@ type Result struct {
 	// AoI is the Age-of-Information summary over the workload's
 	// application alarms (streamed, so it survives NoTrace): how stale
 	// each app's data ran between deliveries.
-	AoI metrics.AoIStats
-	Trace      *trace.Logger
+	AoI   metrics.AoIStats
+	Trace *trace.Logger
 	// FinalWakeups is the device's total sleep→awake transition count
 	// (matches Energy.WakeTransitions).
 	FinalWakeups int

@@ -1,16 +1,13 @@
 // Package stats provides the small statistical toolkit the evaluation
-// needs: means, standard deviations, confidence half-widths for the
-// three-trial averages the paper reports, simple aggregation over
-// repeated simulation runs, and memory-bounded streaming estimators
-// (Welford mean/variance, P² quantiles) for fleet-scale populations
-// where per-run values cannot be retained.
+// needs: means, standard deviations and confidence half-widths for the
+// three-trial averages the paper reports, the batch extremes and
+// quantile the streaming estimators are checked against, and
+// memory-bounded streaming estimators (Welford mean/variance, P²
+// quantiles) for fleet-scale populations where per-run values cannot be
+// retained.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -68,20 +65,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Median returns the median, averaging the middle pair for even lengths.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // t95 holds two-sided 95% Student-t critical values for small samples
 // (df 1..30); beyond that the normal 1.96 is used.
 var t95 = []float64{
@@ -110,59 +93,3 @@ func CI95(xs []float64) float64 {
 	}
 	return critT95(n) * StdDev(xs) / math.Sqrt(float64(n))
 }
-
-// Summary bundles the statistics of one metric across trials.
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	Max  float64
-	CI95 float64
-}
-
-// Summarize computes a Summary of the values. It is total on degenerate
-// inputs: an empty slice summarizes to the zero Summary and a single
-// element to {N: 1, Mean: x, Min: x, Max: x} with zero spread — callers
-// formatting a Summary never see NaN from the input's length alone.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  Min(xs),
-		Max:  Max(xs),
-		CI95: CI95(xs),
-	}
-}
-
-// String formats as "mean ± ci95 [min, max] (n)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.3f ± %.3f [%.3f, %.3f] (n=%d)", s.Mean, s.CI95, s.Min, s.Max, s.N)
-}
-
-// Collector accumulates named metric series across trials.
-type Collector struct {
-	order []string
-	data  map[string][]float64
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{data: map[string][]float64{}} }
-
-// Add appends one observation of the named metric.
-func (c *Collector) Add(name string, v float64) {
-	if _, ok := c.data[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.data[name] = append(c.data[name], v)
-}
-
-// Get returns the observations of a metric.
-func (c *Collector) Get(name string) []float64 { return c.data[name] }
-
-// Names lists metrics in first-added order.
-func (c *Collector) Names() []string { return c.order }
-
-// Summary summarizes one metric.
-func (c *Collector) Summary(name string) Summary { return Summarize(c.data[name]) }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -32,18 +31,18 @@ func TestMinMaxMedian(t *testing.T) {
 	if Min(xs) != 1 || Max(xs) != 5 {
 		t.Fatal("min/max wrong")
 	}
-	if Median(xs) != 3 {
-		t.Fatalf("odd median = %v", Median(xs))
+	if Quantile(xs, 0.5) != 3 {
+		t.Fatalf("odd median = %v", Quantile(xs, 0.5))
 	}
-	if !approx(Median([]float64{1, 2, 3, 4}), 2.5) {
+	if !approx(Quantile([]float64{1, 2, 3, 4}, 0.5), 2.5) {
 		t.Fatal("even median wrong")
 	}
-	if Min(nil) != 0 || Max(nil) != 0 || Median(nil) != 0 {
+	if Min(nil) != 0 || Max(nil) != 0 || Quantile(nil, 0.5) != 0 {
 		t.Fatal("empty cases wrong")
 	}
-	// Median must not mutate its input.
+	// The median must not mutate its input.
 	if xs[0] != 3 {
-		t.Fatal("Median sorted the caller's slice")
+		t.Fatal("Quantile sorted the caller's slice")
 	}
 }
 
@@ -68,35 +67,6 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=3") {
-		t.Fatalf("String = %q", s.String())
-	}
-}
-
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	c.Add("energy", 10)
-	c.Add("energy", 12)
-	c.Add("delay", 0.1)
-	if got := c.Names(); len(got) != 2 || got[0] != "energy" || got[1] != "delay" {
-		t.Fatalf("names = %v", got)
-	}
-	if len(c.Get("energy")) != 2 {
-		t.Fatal("observations lost")
-	}
-	if c.Summary("energy").Mean != 11 {
-		t.Fatal("summary wrong")
-	}
-	if c.Summary("missing").N != 0 {
-		t.Fatal("missing metric should summarize empty")
-	}
-}
-
 // TestDegenerateInputsAreTotal: every batch function must return a
 // defined, finite value on empty and single-element inputs — the
 // NaN-prone cases (0/0 means, √ of negative rounding residue, t-table
@@ -110,7 +80,6 @@ func TestDegenerateInputsAreTotal(t *testing.T) {
 		{"StdDev", StdDev},
 		{"Min", Min},
 		{"Max", Max},
-		{"Median", Median},
 		{"CI95", CI95},
 		{"Quantile(0.5)", func(xs []float64) float64 { return Quantile(xs, 0.5) }},
 	}
@@ -143,7 +112,6 @@ func TestDegenerateInputsAreTotal(t *testing.T) {
 		want float64
 	}{
 		{"Mean", Mean(one), 7},
-		{"Median", Median(one), 7},
 		{"Min", Min(one), 7},
 		{"Max", Max(one), 7},
 		{"Quantile", Quantile(one, 0.95), 7},
@@ -154,19 +122,9 @@ func TestDegenerateInputsAreTotal(t *testing.T) {
 			t.Errorf("%s({7}) = %v, want %v", fn.name, fn.got, fn.want)
 		}
 	}
-	// Summarize of the degenerate inputs never formats a NaN.
-	for _, xs := range [][]float64{nil, {}, one} {
-		s := Summarize(xs)
-		if strings.Contains(s.String(), "NaN") {
-			t.Errorf("Summarize(%v).String() = %q contains NaN", xs, s.String())
-		}
-	}
-	if s := Summarize(one); s.N != 1 || s.Mean != 7 || s.Min != 7 || s.Max != 7 || s.Std != 0 || s.CI95 != 0 {
-		t.Errorf("Summarize({7}) = %+v", s)
-	}
 }
 
-// Property: Min ≤ Median ≤ Max and Min ≤ Mean ≤ Max.
+// Property: Min ≤ median ≤ Max and Min ≤ Mean ≤ Max.
 func TestPropertyOrderStatistics(t *testing.T) {
 	prop := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -176,7 +134,7 @@ func TestPropertyOrderStatistics(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		mn, mx, md, mean := Min(xs), Max(xs), Median(xs), Mean(xs)
+		mn, mx, md, mean := Min(xs), Max(xs), Quantile(xs, 0.5), Mean(xs)
 		return mn <= md && md <= mx && mn <= mean+1e-9 && mean <= mx+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {

@@ -75,11 +75,6 @@ func (w *Welford) CI95() float64 {
 	return critT95(w.n) * w.Std() / math.Sqrt(float64(w.n))
 }
 
-// Summary snapshots the accumulator in the batch Summarize shape.
-func (w *Welford) Summary() Summary {
-	return Summary{N: w.n, Mean: w.Mean(), Std: w.Std(), Min: w.Min(), Max: w.Max(), CI95: w.CI95()}
-}
-
 // P2Quantile estimates one quantile online with the P² algorithm: five
 // markers track the running minimum, maximum, target quantile, and the
 // two intermediate quantiles, adjusted per observation by a piecewise-
@@ -108,12 +103,6 @@ func NewP2Quantile(p float64) P2Quantile {
 		inc: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
 	}
 }
-
-// P reports the target quantile.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// N is the number of observations folded in.
-func (e *P2Quantile) N() int { return e.n }
 
 // Add folds one observation into the estimator.
 func (e *P2Quantile) Add(x float64) {

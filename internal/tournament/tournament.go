@@ -14,9 +14,7 @@ package tournament
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/fleet"
@@ -164,20 +162,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// ReadSpec parses and validates a JSON tournament spec.
-func ReadSpec(r io.Reader) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("tournament: decode spec: %w", err)
-	}
-	if err := s.WithDefaults().Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
 // fleetSpec assembles the fleet one (regime, policy) cell simulates.
 // ZeroWakeLatency is always set: the ranking's first criterion is the
 // perceptible-guarantee count, which must reflect policy behaviour, not
@@ -224,7 +208,7 @@ type Cell struct {
 
 // RegimeResult is one regime's ranked column.
 type RegimeResult struct {
-	Regime string `json:"regime"`
+	Regime string  `json:"regime"`
 	Hours  float64 `json:"hours"`
 	// Cells holds every entrant plus the base policy, sorted by Rank.
 	Cells []Cell `json:"cells"`

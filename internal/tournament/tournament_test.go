@@ -3,7 +3,6 @@ package tournament
 import (
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -55,27 +54,6 @@ func TestValidateRejections(t *testing.T) {
 		mutate(&s)
 		if err := s.WithDefaults().Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestReadSpec(t *testing.T) {
-	good := `{"seed": 3, "devices": 2, "regimes": [{"name": "r", "hours": 0.5}]}`
-	s, err := ReadSpec(strings.NewReader(good))
-	if err != nil {
-		t.Fatalf("good spec rejected: %v", err)
-	}
-	if s.Seed != 3 || s.Devices != 2 {
-		t.Fatalf("spec misread: %+v", s)
-	}
-	for _, bad := range []string{
-		`{"devices": 2, "unknown_field": 1}`,
-		`{"devices": 0}`,
-		`{"devices": 2, "regimes": [{"name": ""}]}`,
-		`not json`,
-	} {
-		if _, err := ReadSpec(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted %q", bad)
 		}
 	}
 }

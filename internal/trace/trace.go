@@ -79,19 +79,14 @@ type Logger struct {
 	events []Event
 }
 
-// NewLogger returns a logger stamping events with the given clock.
-func NewLogger(clock *simclock.Clock) *Logger {
-	return NewLoggerSized(clock, 0)
-}
-
-// NewLoggerSized returns a logger whose event buffer is preallocated for
-// capacity events. Callers that can bound the event count from the
-// workload (the simulation layer estimates deliveries per hour) avoid
-// every growth reallocation in the logging hot path; a capacity <= 0 is
-// the same as NewLogger.
+// NewLoggerSized returns a logger stamping events with the given clock,
+// its event buffer preallocated for capacity events. Callers that can
+// bound the event count from the workload (the simulation layer
+// estimates deliveries per hour) avoid every growth reallocation in the
+// logging hot path; a capacity <= 0 preallocates nothing.
 func NewLoggerSized(clock *simclock.Clock, capacity int) *Logger {
 	if clock == nil {
-		panic("trace: NewLogger with nil clock")
+		panic("trace: NewLoggerSized with nil clock")
 	}
 	l := &Logger{clock: clock}
 	if capacity > 0 {
@@ -193,12 +188,4 @@ func ReadJSON(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
 	return events, nil
-}
-
-// Replay feeds each event to fn in order, returning the count replayed.
-func Replay(events []Event, fn func(Event)) int {
-	for _, e := range events {
-		fn(e)
-	}
-	return len(events)
 }

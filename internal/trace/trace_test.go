@@ -13,7 +13,7 @@ import (
 func buildLog(t *testing.T) *Logger {
 	t.Helper()
 	c := simclock.New()
-	l := NewLogger(c)
+	l := NewLoggerSized(c, 0)
 	wl := hw.NewWakelockManager()
 	wl.Subscribe(l)
 	wl.Acquire(hw.MakeSet(hw.WiFi))
@@ -91,18 +91,6 @@ func TestReadJSONError(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	l := buildLog(t)
-	var kinds []EventKind
-	n := Replay(l.Events(), func(e Event) { kinds = append(kinds, e.Kind) })
-	if n != 3 || len(kinds) != 3 {
-		t.Fatalf("replayed %d", n)
-	}
-	if kinds[0] != EventComponentOn || kinds[1] != EventDelivery {
-		t.Fatalf("kinds = %v", kinds)
-	}
-}
-
 func TestEventKindString(t *testing.T) {
 	if EventDelivery.String() != "delivery" || EventComponentOn.String() != "on" ||
 		EventComponentOff.String() != "off" {
@@ -119,7 +107,7 @@ func TestNewLoggerNilPanics(t *testing.T) {
 			t.Fatal("nil clock did not panic")
 		}
 	}()
-	NewLogger(nil)
+	NewLoggerSized(nil, 0)
 }
 
 func TestTimelineBasic(t *testing.T) {
@@ -229,7 +217,7 @@ func TestLoggerSized(t *testing.T) {
 	if got := len(l.Events()); got != 64 {
 		t.Fatalf("logged %d events, want 64", got)
 	}
-	// capacity <= 0 degrades to the plain constructor.
+	// capacity <= 0 preallocates nothing but still builds a logger.
 	if NewLoggerSized(c, 0) == nil || NewLoggerSized(c, -5) == nil {
 		t.Fatal("non-positive capacity rejected")
 	}
@@ -302,7 +290,7 @@ func TestTimelineOffExactlyAtWindowEnd(t *testing.T) {
 
 func TestCSVTaskRows(t *testing.T) {
 	c := simclock.New()
-	l := NewLogger(c)
+	l := NewLoggerSized(c, 0)
 	l.Task("sync", hw.MakeSet(hw.WiFi), true)
 	c.Run(simclock.Time(2 * simclock.Second))
 	l.Task("sync", hw.MakeSet(hw.WiFi), false)
@@ -319,7 +307,7 @@ func TestCSVTaskRows(t *testing.T) {
 
 func TestTaskEventsJSONRoundTrip(t *testing.T) {
 	c := simclock.New()
-	l := NewLogger(c)
+	l := NewLoggerSized(c, 0)
 	l.Task("app", hw.MakeSet(hw.WPS), true)
 	var buf bytes.Buffer
 	if err := l.WriteJSON(&buf); err != nil {
