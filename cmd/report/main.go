@@ -3,22 +3,22 @@
 //
 // Usage:
 //
-//	report [-experiment all|table1|table3|fig2|fig3|fig4|table4|bounds|ablations|fleet|herd|tournament]
+//	report [-experiment all|list|table1|table3|fig2|fig3|fig4|table4|bounds|
+//	        ablations|drain|scaling|robustness|fleet|herd|tournament]
 //	       [-trials 3] [-seed 1] [-hours 3] [-format text|markdown|csv]
-//	       [-workers 0] [-devices 10000] [-procs 0] [-progress]
+//	       [-workers 0] [-devices 0] [-procs 0] [-progress]
 //
 // Each experiment is run -trials times with consecutive seeds (the paper
 // averages three runs) and the mean is reported. Independent runs fan
 // out over a worker pool (-workers, default GOMAXPROCS); -progress
-// prints per-run completions to stderr. -procs P executes the fleet
-// experiment across P supervised worker processes (internal/shardexec —
-// this same binary re-executed in the internal -shardworker mode); the
-// table is byte-identical to the in-process run.
+// prints per-run completions to stderr. -devices sizes the fleet, herd
+// and tournament populations (0 keeps 10,000, 200 and 96 per cell).
+// -procs P shards the fleet and tournament experiments (not herd) over
+// P `report -shardworker` processes; the tables stay byte-identical.
 //
 // Every flag is validated before any experiment starts; a bad value
 // exits non-zero with a one-line error rather than burning minutes of
-// simulation first (a bad -format used to surface only after the first
-// experiment had already run).
+// simulation first.
 package main
 
 import (
@@ -60,8 +60,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.hours, "hours", 3, "connected-standby horizon in hours")
 	fs.StringVar(&o.format, "format", "text", "output format: text, markdown, or csv")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-	fs.IntVar(&o.devices, "devices", 0, "fleet experiment population size (0 = 10000)")
-	fs.IntVar(&o.procs, "procs", 0, "run the fleet experiment across N supervised worker processes (0 = in-process)")
+	fs.IntVar(&o.devices, "devices", 0, "fleet, herd and tournament population size (0 = 10000, 200 and 96 per cell)")
+	fs.IntVar(&o.procs, "procs", 0, "run the fleet and tournament experiments across N supervised worker processes (0 = in-process)")
 	fs.BoolVar(&o.progress, "progress", false, "print per-run completions to stderr")
 	fs.BoolVar(&o.shardworker, "shardworker", false, "internal: run as a shard worker (manifest on stdin, framed shard on stdout)")
 	return o

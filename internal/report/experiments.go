@@ -23,15 +23,15 @@ type Options struct {
 	Duration simclock.Duration
 	// Workers bounds the parallel runner's pool; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// FleetDevices is the population size for the fleet experiment; zero
-	// means 10,000.
+	// FleetDevices is the population size for the fleet, herd and
+	// tournament experiments; zero keeps 10,000, 200 and 96 per cell.
 	FleetDevices int
 	// Progress, when non-nil, receives one callback per finished run
 	// (forwarded to the parallel runner).
 	Progress func(sim.Progress)
-	// Procs, when > 0, executes the fleet experiment across supervised
-	// worker OS processes (internal/shardexec) instead of the in-process
-	// pool; the resulting table is byte-identical.
+	// Procs, when > 0, executes the fleet and tournament experiments
+	// across supervised worker OS processes (internal/shardexec); the
+	// tables are byte-identical. The herd experiment ignores it.
 	Procs int
 }
 

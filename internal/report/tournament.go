@@ -17,8 +17,8 @@ import (
 // byte-identical either way.
 func Tournament(o Options) (*Table, error) {
 	// Like the herd experiment, the tournament defaults far smaller than
-	// the 10k fleet: the matrix multiplies devices by regimes × entrants
-	// × 2 policies, and the diurnal column runs a 24 h horizon.
+	// the 10k fleet: every device runs once per regime and policy (base
+	// included), and the diurnal column runs a 24 h horizon.
 	devices := o.FleetDevices
 	if devices <= 0 {
 		devices = 96

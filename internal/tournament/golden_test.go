@@ -11,9 +11,9 @@ import (
 )
 
 // TestMain lets the test binary double as the shard worker: the
-// multi-process golden test points Options.WorkerArgv back at this
-// binary, and the env marker routes the re-executed child into the
-// worker entry point.
+// multi-process tests leave shardexec's default worker argv in place
+// (os.Executable() -shardworker), which re-executes this test binary,
+// and the env marker routes the child into the worker entry point.
 func TestMain(m *testing.M) {
 	if os.Getenv("TOURNAMENT_TEST_SHARDWORKER") == "1" {
 		os.Exit(shardexec.WorkerMain(context.Background(), os.Stdin, os.Stdout, os.Stderr))
@@ -28,6 +28,7 @@ func TestMain(m *testing.M) {
 // sizes. The first (workers=1, in-process) run is the reference; every
 // other shape must reproduce its bytes exactly.
 func TestScoreboardGoldenAcrossWorkersAndProcs(t *testing.T) {
+	t.Setenv("TOURNAMENT_TEST_SHARDWORKER", "1")
 	spec := Spec{
 		Seed:     11,
 		Devices:  6,
@@ -43,12 +44,8 @@ func TestScoreboardGoldenAcrossWorkersAndProcs(t *testing.T) {
 	}{
 		{"workers=1", Options{Workers: 1}},
 		{"workers=4", Options{Workers: 4}},
-		{"procs=2", Options{Procs: 2, ShardSize: 2,
-			WorkerArgv: []string{os.Args[0]},
-			WorkerEnv:  []string{"TOURNAMENT_TEST_SHARDWORKER=1"}}},
-		{"procs=2/shard=4", Options{Procs: 2, ShardSize: 4, Workers: 2,
-			WorkerArgv: []string{os.Args[0]},
-			WorkerEnv:  []string{"TOURNAMENT_TEST_SHARDWORKER=1"}}},
+		{"procs=2", Options{Procs: 2, ShardSize: 2}},
+		{"procs=2/shard=4", Options{Procs: 2, ShardSize: 4, Workers: 2}},
 	}
 	var golden []byte
 	for _, shape := range shapes {

@@ -5,17 +5,18 @@
 // aggregates are ranked into a cross-regime scoreboard.
 //
 // Determinism contract: a Scoreboard is a pure function of its Spec.
-// Each (regime, policy) cell is a fleet.Run summary — byte-identical
-// across worker counts, shard sizes, and process counts — and the
-// ranking reads only those summaries, so marshalling a Scoreboard is
-// byte-identical for a fixed Spec no matter how the tournament was
-// executed. Wall-clock time is deliberately excluded.
+// Each (regime, policy) cell is one side of a fleet.Run summary —
+// byte-identical across worker counts, shard sizes, and process counts
+// — and the ranking reads only those summaries, so marshalling a
+// Scoreboard is byte-identical for a fixed Spec no matter how the
+// tournament was executed. Wall-clock time is deliberately excluded.
 package tournament
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/fleet"
 	"repro/internal/shardexec"
@@ -60,9 +61,7 @@ type Spec struct {
 	Seed int64 `json:"seed"`
 	// Devices is the fleet size every cell simulates.
 	Devices int `json:"devices"`
-	// Base is the reference policy every entrant is paired against in
-	// its fleet runs; it competes on the scoreboard too. Default
-	// NATIVE.
+	// Base leads the field and competes like any entrant. Default NATIVE.
 	Base string `json:"base,omitempty"`
 	// Policies are the entrants beyond Base. Default: NOALIGN, SIMTY,
 	// SIMTY-J, SIMTY-U, AOI.
@@ -134,15 +133,15 @@ func (s Spec) Validate() error {
 	if _, err := sim.PolicyByName(s.Base); err != nil {
 		return fmt.Errorf("tournament: base: %w", err)
 	}
-	seen := map[string]bool{s.Base: true}
+	seen := map[string]bool{strings.ToUpper(s.Base): true}
 	for _, p := range s.Policies {
 		if _, err := sim.PolicyByName(p); err != nil {
 			return fmt.Errorf("tournament: %w", err)
 		}
-		if seen[p] {
+		if seen[strings.ToUpper(p)] {
 			return fmt.Errorf("tournament: policy %q entered twice", p)
 		}
-		seen[p] = true
+		seen[strings.ToUpper(p)] = true
 	}
 	names := map[string]bool{}
 	for _, r := range s.Regimes {
@@ -154,26 +153,37 @@ func (s Spec) Validate() error {
 		}
 		names[r.Name] = true
 		// Every remaining constraint (horizon, ranges, catalog) is the
-		// fleet layer's; validate the exact spec each cell will run.
-		if err := s.fleetSpec(r, s.Policies[0]).WithDefaults().Validate(); err != nil {
+		// fleet layer's; validate the regime's fleet spec.
+		if err := s.fleetSpec(r, []string{s.Base}).WithDefaults().Validate(); err != nil {
 			return fmt.Errorf("tournament: regime %q: %w", r.Name, err)
 		}
 	}
 	return nil
 }
 
-// fleetSpec assembles the fleet one (regime, policy) cell simulates.
-// ZeroWakeLatency is always set: the ranking's first criterion is the
-// perceptible-guarantee count, which must reflect policy behaviour, not
-// the stochastic 0.4–1.4 s hardware resume time.
-func (s Spec) fleetSpec(r Regime, policy string) fleet.Spec {
+// pairs splits the field (the base, then the entrants) into the policies
+// that share a fleet: two to a fleet, an odd field's last entrant alone.
+func (s Spec) pairs() [][]string {
+	field := append([]string{s.Base}, s.Policies...)
+	var out [][]string
+	for i := 0; i < len(field); i += 2 {
+		out = append(out, field[i:min(i+2, len(field))])
+	}
+	return out
+}
+
+// fleetSpec assembles the fleet a pair shares in a regime; a lone
+// entrant runs on both sides. ZeroWakeLatency is always set: the
+// ranking's first criterion is the perceptible-guarantee count, which
+// must reflect policy behaviour, not the stochastic 0.4–1.4 s wake latency.
+func (s Spec) fleetSpec(r Regime, pair []string) fleet.Spec {
 	return fleet.Spec{
 		Devices:         s.Devices,
 		Seed:            s.Seed,
 		Hours:           r.Hours,
 		Beta:            s.Beta,
-		BasePolicy:      s.Base,
-		TestPolicy:      policy,
+		BasePolicy:      pair[0],
+		TestPolicy:      pair[len(pair)-1],
 		SystemAlarms:    r.SystemAlarms,
 		Apps:            r.Apps,
 		PushesPerHour:   r.PushesPerHour,
@@ -248,20 +258,15 @@ type Options struct {
 	// ShardSize is the per-process device range when Procs > 0; ≤ 0
 	// means shardexec.DefaultShardSize.
 	ShardSize int
-	// WorkerArgv/WorkerEnv forward to shardexec.Options when Procs > 0.
-	WorkerArgv []string
-	WorkerEnv  []string
-	// Progress, when non-nil, is called after each (regime, policy)
+	// Progress, when non-nil, is called after each (regime, entrant)
 	// cell completes with the cells done so far and the matrix size.
 	Progress func(regime, policy string, done, total int)
 }
 
-// Run executes the tournament: every entrant simulates every regime's
-// fleet paired against the base policy, and the per-regime summaries
-// are ranked into the scoreboard. The base policy's cell in each regime
-// is read from the first entrant's run — the base side of a fleet pair
-// depends only on (Spec, regime), so every run of the regime agrees on
-// it bit-for-bit. Cancelling ctx aborts the tournament.
+// Run executes the tournament: every regime runs the field two policies
+// to a fleet (see pairs) and reads each cell from its policy's own side
+// — a side depends only on the spec, the regime and its own policy — so
+// each (device, policy) is simulated once. Cancelling ctx aborts it.
 func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -271,23 +276,20 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 	total := len(spec.Regimes) * len(spec.Policies)
 	done := 0
 	for _, reg := range spec.Regimes {
-		rr := RegimeResult{
-			Regime: reg.Name,
-			Hours:  spec.fleetSpec(reg, spec.Policies[0]).WithDefaults().Hours,
-		}
-		for pi, policy := range spec.Policies {
-			agg, err := runFleet(ctx, spec.fleetSpec(reg, policy), opts)
+		rr := RegimeResult{Regime: reg.Name}
+		for _, pair := range spec.pairs() {
+			agg, err := runFleet(ctx, spec.fleetSpec(reg, pair), opts)
 			if err != nil {
-				return nil, fmt.Errorf("tournament: regime %q, policy %s: %w", reg.Name, policy, err)
+				return nil, fmt.Errorf("tournament: regime %q, policies %v: %w", reg.Name, pair, err)
 			}
 			s := agg.Summary()
-			if pi == 0 {
-				rr.Cells = append(rr.Cells, makeCell(spec.Base, s.Base))
-			}
-			rr.Cells = append(rr.Cells, makeCell(policy, s.Test))
-			done++
-			if opts.Progress != nil {
-				opts.Progress(reg.Name, policy, done, total)
+			rr.Hours = s.Hours
+			for k, side := range []fleet.PolicySummary{s.Base, s.Test}[:len(pair)] {
+				rr.Cells = append(rr.Cells, makeCell(pair[k], side))
+				if pair[k] != spec.Base && opts.Progress != nil {
+					done++
+					opts.Progress(reg.Name, pair[k], done, total)
+				}
 			}
 		}
 		rankCells(rr.Cells)
@@ -297,16 +299,14 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 	return sb, nil
 }
 
-// runFleet executes one cell's fleet, in-process or sharded across
+// runFleet executes one pair's fleet, in-process or sharded across
 // worker processes; the aggregate is byte-identical either way.
 func runFleet(ctx context.Context, fs fleet.Spec, opts Options) (*fleet.Aggregate, error) {
 	if opts.Procs > 0 {
 		r, err := shardexec.Run(ctx, fs, shardexec.Options{
-			Procs:      opts.Procs,
-			ShardSize:  opts.ShardSize,
-			Workers:    opts.Workers,
-			WorkerArgv: opts.WorkerArgv,
-			WorkerEnv:  opts.WorkerEnv,
+			Procs:     opts.Procs,
+			ShardSize: opts.ShardSize,
+			Workers:   opts.Workers,
 		})
 		if err != nil {
 			return nil, err

@@ -43,6 +43,8 @@ func TestValidateRejections(t *testing.T) {
 		"unknown base":     func(s *Spec) { s.Base = "BOGUS" },
 		"unknown policy":   func(s *Spec) { s.Policies = []string{"BOGUS"} },
 		"duplicate policy": func(s *Spec) { s.Policies = []string{"SIMTY", "SIMTY"} },
+		"folded entrant":   func(s *Spec) { s.Policies = []string{"SIMTY", "simty"} },
+		"folded base":      func(s *Spec) { s.Base, s.Policies = "native", []string{"NATIVE", "SIMTY"} },
 		"unnamed regime":   func(s *Spec) { s.Regimes[0].Name = "" },
 		"duplicate regime": func(s *Spec) { s.Regimes[1].Name = s.Regimes[0].Name },
 		"bad catalog":      func(s *Spec) { s.Regimes[0].Catalog = "nope" },

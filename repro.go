@@ -232,11 +232,11 @@ func PolicyNames() []string { return sim.PolicyNames() }
 // embedding a builtin.
 func PolicyByName(name string) (Policy, error) { return sim.PolicyByName(name) }
 
-// RunTournament executes a cross-regime policy competition: every
-// entrant simulates every regime's fleet paired against the base
-// policy, and the per-regime fleet summaries are ranked into the
-// scoreboard. The scoreboard is a pure function of the spec —
-// byte-identical across worker counts and process counts.
+// RunTournament executes a cross-regime policy competition: the base
+// and every entrant simulate each regime's fleet of devices, and the
+// per-regime fleet summaries are ranked into the scoreboard. The
+// scoreboard is a pure function of the spec — byte-identical across
+// worker counts and process counts.
 func RunTournament(ctx context.Context, spec TournamentSpec, opts TournamentOptions) (*Scoreboard, error) {
 	return tournament.Run(ctx, spec, opts)
 }
