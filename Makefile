@@ -51,6 +51,7 @@ FUZZTARGETS = \
 	./internal/apps:FuzzSpecJSON \
 	./internal/alarm:FuzzQueueOps \
 	./internal/fleet:FuzzFleetSpec \
+	./internal/fleet:FuzzDecodeShard \
 	./internal/simclock:FuzzClockPool \
 	./internal/shardexec:FuzzManifestJSON \
 	./internal/tournament:FuzzTournamentSpec

@@ -15,6 +15,7 @@
 // and tournament populations (0 keeps 10,000, 200 and 96 per cell).
 // -procs P shards the fleet and tournament experiments (not herd) over
 // P `report -shardworker` processes; the tables stay byte-identical.
+// Either flag is an error with an experiment it does not apply to.
 //
 // Every flag is validated before any experiment starts; a bad value
 // exits non-zero with a one-line error rather than burning minutes of
@@ -28,6 +29,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/report"
 	"repro/internal/shardexec"
@@ -97,6 +99,12 @@ func (o *options) validate() error {
 	}
 	if o.procs < 0 {
 		return fmt.Errorf("-procs %d: want a non-negative process count", o.procs)
+	}
+	if o.devices > 0 && !slices.Contains([]string{"all", "fleet", "herd", "tournament"}, o.experiment) {
+		return fmt.Errorf("-devices only applies to the fleet, herd and tournament experiments")
+	}
+	if o.procs > 0 && !slices.Contains([]string{"all", "fleet", "tournament"}, o.experiment) {
+		return fmt.Errorf("-procs only applies to the fleet and tournament experiments")
 	}
 	return nil
 }

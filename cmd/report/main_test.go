@@ -51,6 +51,12 @@ func TestValidateFlags(t *testing.T) {
 		{"negative workers", []string{"-workers", "-1"}, "-workers"},
 		{"negative devices", []string{"-devices", "-5"}, "-devices"},
 		{"negative procs", []string{"-procs", "-2"}, "-procs"},
+		{"sharded tournament", []string{"-experiment", "tournament", "-procs", "2"}, ""},
+		{"herd population", []string{"-experiment", "herd", "-devices", "50"}, ""},
+		{"procs with fig3", []string{"-experiment", "fig3", "-procs", "2"}, "-procs only applies"},
+		{"procs with herd", []string{"-experiment", "herd", "-procs", "2"}, "-procs only applies"},
+		{"devices with table1", []string{"-experiment", "table1", "-devices", "100"}, "-devices only applies"},
+		{"devices with list", []string{"-experiment", "list", "-devices", "100"}, "-devices only applies"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

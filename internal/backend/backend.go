@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/stats"
 )
 
 // Model parameterizes the backend co-simulation. The zero value of every
@@ -326,14 +327,17 @@ func Serve(h *Histogram, m Model) Summary {
 		return s
 	}
 	rng := simclock.Rand(m.Seed)
-	depth := metrics.NewLoadAcc()
-	lat := metrics.NewLoadAcc()
 	bucketSec := m.BucketWidth.Seconds()
 	capPerBucket := int64(m.Capacity * bucketSec)
 	if capPerBucket < 1 {
 		capPerBucket = 1
 	}
 	svcSpread := int64(m.ServiceMax - m.ServiceMin)
+	svcMinMs := float64(m.ServiceMin) / float64(simclock.Millisecond)
+	// Queues hold ≤ QueueLimit requests; one allocation sizes each range.
+	var depth, lat stats.Acc
+	depth.Grow(1, float64(m.QueueLimit))
+	lat.Grow(svcMinMs, float64(m.QueueLimit)/m.Capacity*1000+float64(m.ServiceMax)/float64(simclock.Millisecond))
 	var backlog int64
 	// Keep serving past the last arrival until the backlog drains.
 	for b := lo; b <= hi || backlog > 0; b++ {
@@ -352,7 +356,7 @@ func Serve(h *Histogram, m Model) Summary {
 			stride := admitted/latencySamplesPerBucket + 1
 			for j := int64(0); j < admitted; j += stride {
 				waitMs := float64(backlog+j) / m.Capacity * 1000
-				svcMs := float64(m.ServiceMin) / float64(simclock.Millisecond)
+				svcMs := svcMinMs
 				if svcSpread > 0 {
 					svcMs += float64(rng.Int63n(svcSpread+1)) / float64(simclock.Millisecond)
 				}
@@ -370,7 +374,10 @@ func Serve(h *Histogram, m Model) Summary {
 			backlog -= served
 		}
 	}
-	s.QueueDepth = depth.Dist()
-	s.AdmitLatency = lat.Dist()
+	dists := [...]*metrics.LoadDist{&s.QueueDepth, &s.AdmitLatency}
+	for i, a := range [...]*stats.Acc{&depth, &lat} {
+		*dists[i] = metrics.LoadDist{N: a.N(), Mean: a.Mean(), Max: a.Max(),
+			P50: a.Quantile(0.50), P95: a.Quantile(0.95), P99: a.Quantile(0.99)}
+	}
 	return s
 }

@@ -95,8 +95,10 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 		if v < 0 {
 			return fmt.Errorf("backend: negative count %d in histogram bucket %d", v, k)
 		}
-		if _, dup := buckets[k]; dup {
-			return fmt.Errorf("backend: duplicate histogram bucket %d", k)
+		// AppendBinary writes buckets in ascending order; accepting only
+		// that order keeps decode(encode(x)) and encode(decode(b)) exact.
+		if i > 0 && k <= int64(binary.LittleEndian.Uint64(data[12+16*(i-1):])) {
+			return fmt.Errorf("backend: histogram bucket %d out of order", k)
 		}
 		buckets[k] = v
 	}

@@ -7,9 +7,8 @@ import (
 )
 
 // Dist is the JSON snapshot of one metric's distribution across the
-// fleet: Welford moments plus P² quantile estimates. At fleet scale the
-// per-device values are never retained, so P50/P95/P99 are streaming
-// estimates (exact for populations of five or fewer).
+// fleet, read from a stats.Acc: exact moments and extremes, and
+// P50/P95/P99 within 2⁻⁷ (relative) of the exact quantiles.
 type Dist struct {
 	N    int     `json:"n"`
 	Mean float64 `json:"mean"`
@@ -22,39 +21,17 @@ type Dist struct {
 	P99  float64 `json:"p99"`
 }
 
-// acc is the streaming accumulator behind one Dist: O(1) space per
-// metric regardless of fleet size.
-type acc struct {
-	w             stats.Welford
-	p50, p95, p99 stats.P2Quantile
-}
-
-func newAcc() *acc {
-	return &acc{
-		p50: stats.NewP2Quantile(0.50),
-		p95: stats.NewP2Quantile(0.95),
-		p99: stats.NewP2Quantile(0.99),
-	}
-}
-
-func (a *acc) add(x float64) {
-	a.w.Add(x)
-	a.p50.Add(x)
-	a.p95.Add(x)
-	a.p99.Add(x)
-}
-
-func (a *acc) dist() Dist {
+func dist(a *stats.Acc) Dist {
 	return Dist{
-		N:    a.w.N(),
-		Mean: a.w.Mean(),
-		Std:  a.w.Std(),
-		CI95: a.w.CI95(),
-		Min:  a.w.Min(),
-		Max:  a.w.Max(),
-		P50:  a.p50.Value(),
-		P95:  a.p95.Value(),
-		P99:  a.p99.Value(),
+		N:    a.N(),
+		Mean: a.Mean(),
+		Std:  a.Std(),
+		CI95: a.CI95(),
+		Min:  a.Min(),
+		Max:  a.Max(),
+		P50:  a.Quantile(0.50),
+		P95:  a.Quantile(0.95),
+		P99:  a.Quantile(0.99),
 	}
 }
 
@@ -101,7 +78,7 @@ type SavingsSummary struct {
 // Summary is the full deterministic JSON aggregate of a fleet run. It
 // deliberately excludes wall-clock time and anything else that varies
 // between repeats: marshalling a Summary is byte-identical for a fixed
-// Spec across worker counts and shard sizes.
+// Spec across worker counts, shard sizes and process counts.
 type Summary struct {
 	Devices    int            `json:"devices"`
 	Seed       int64          `json:"seed"`
@@ -116,99 +93,75 @@ type Summary struct {
 	LeakyDevices int `json:"leaky_devices,omitempty"`
 }
 
-// policyAcc accumulates one policy's metrics.
-type policyAcc struct {
-	energy, standby, wakeups, imperc, aoi *acc
-	perceptibleLate, graceLate            int
-	maxPerceptibleDelay                   float64
-	// bk folds the per-run backend counters; hist merges the per-run
-	// arrival histograms (exact integer adds, so any fold order agrees).
-	// Both stay nil while the spec carries no backend model.
-	bk   backend.DeviceStats
-	hist *backend.Histogram
-}
+// The per-device values a fold accumulates, each in a stats.Acc: each
+// policy's, base then test, then the savings ratios and the leak flag.
+// Guarantee counts and leak flags read back as exact sums.
+const (
+	energyMJ = iota
+	standbyHours
+	wakeups
+	impercDelay
+	aoiMean
+	perceptibleLate
+	graceLate
+	maxPerceptibleDelay
+	perPolicy
+	savings  = 2 * perPolicy // total, awake, standby extension, wakeups
+	leaky    = savings + 4
+	nMetrics = leaky + 1
+)
 
-func newPolicyAcc(m *backend.Model) *policyAcc {
-	p := &policyAcc{energy: newAcc(), standby: newAcc(), wakeups: newAcc(), imperc: newAcc(), aoi: newAcc()}
-	if m != nil {
-		p.hist = backend.NewHistogram(m.WithDefaults().BucketWidth)
+// fold is the mergeable state of a device range, apart from the backend
+// counters and histograms ShardAggregate carries beside it.
+type fold [nMetrics]stats.Acc
+
+func (f *fold) observe(d Device, base, test *sim.Result) {
+	for p, r := range [...]*sim.Result{base, test} {
+		g := r.Guarantees
+		for m, v := range [...]float64{r.Energy.TotalMJ(), r.StandbyHours, float64(r.FinalWakeups), r.Delays.ImperceptibleMean,
+			r.AoI.MeanAgeSec, float64(g.PerceptibleLate), float64(g.GraceLate), g.MaxPerceptibleDelay} {
+			f[p*perPolicy+m].Add(v)
+		}
 	}
-	return p
-}
-
-// observeObs folds one device's extracted observation row into the
-// policy's accumulators. Every float here was computed by makePolicyObs
-// — in this process or in a shard-worker process — so folding a row is
-// bit-identical to folding the run it came from. The guarantee counters
-// fold the run's streamed Guarantees rather than re-scanning its
-// Records, so runs executed in the NoTrace fast mode (no Records at
-// all) aggregate identically: sums of per-run counts and the max of
-// per-run maxima equal the record-level scan exactly.
-func (p *policyAcc) observeObs(o PolicyObs) {
-	p.energy.add(o.EnergyMJ)
-	p.standby.add(o.StandbyHours)
-	p.wakeups.add(o.Wakeups)
-	p.imperc.add(o.ImperceptibleDelay)
-	p.aoi.add(o.AoIMean)
-	p.perceptibleLate += o.PerceptibleLate
-	p.graceLate += o.GraceLate
-	if o.MaxPerceptibleDelay > p.maxPerceptibleDelay {
-		p.maxPerceptibleDelay = o.MaxPerceptibleDelay
+	cmp, leak := sim.Comparison{Base: base, Test: test}, 0.0
+	if d.LeakApp != "" {
+		leak = 1
+	}
+	for i, v := range [...]float64{cmp.TotalSavings(), cmp.AwakeSavings(), cmp.StandbyExtension(), cmp.WakeupReduction(), leak} {
+		f[savings+i].Add(v)
 	}
 }
 
-// observeBackend folds one run's backend counters and arrival histogram.
-// Both folds are commutative, associative integer adds, so shard-level
-// pre-folds (ShardAggregate) merge to the same result as per-run folds.
-func (p *policyAcc) observeBackend(b *backend.DeviceStats) {
-	if p.hist != nil && b != nil {
-		p.bk.Merge(b)
-		p.hist.Merge(b.Hist)
-	}
-}
-
-// mergeBackend folds a shard-level backend pre-fold.
-func (p *policyAcc) mergeBackend(stats backend.DeviceStats, hist *backend.Histogram) {
-	if p.hist != nil && hist != nil {
-		p.bk.Merge(&stats)
-		p.hist.Merge(hist)
-	}
-}
-
-func (p *policyAcc) summary(m *backend.Model) PolicySummary {
+// policy is policy p's summary; with a backend model it replays the
+// fleet's merged arrivals through the server queue and attaches the
+// folded device-side counters.
+func (f *fold) policy(p int, m *backend.Model, bk *backend.DeviceStats, hist *backend.Histogram) PolicySummary {
+	acc := func(metric int) *stats.Acc { return &f[p*perPolicy+metric] }
 	ps := PolicySummary{
-		EnergyMJ:            p.energy.dist(),
-		StandbyHours:        p.standby.dist(),
-		Wakeups:             p.wakeups.dist(),
-		ImperceptibleDelay:  p.imperc.dist(),
-		PerceptibleLate:     p.perceptibleLate,
-		GraceLate:           p.graceLate,
-		MaxPerceptibleDelay: p.maxPerceptibleDelay,
-		AoIMeanAge:          p.aoi.dist(),
+		EnergyMJ:            dist(acc(energyMJ)),
+		StandbyHours:        dist(acc(standbyHours)),
+		Wakeups:             dist(acc(wakeups)),
+		ImperceptibleDelay:  dist(acc(impercDelay)),
+		PerceptibleLate:     int(acc(perceptibleLate).Sum()),
+		GraceLate:           int(acc(graceLate).Sum()),
+		MaxPerceptibleDelay: acc(maxPerceptibleDelay).Max(),
+		AoIMeanAge:          dist(acc(aoiMean)),
 	}
-	if m != nil && p.hist != nil {
-		// Replay the fleet's merged arrivals through the server queue,
-		// then attach the folded device-side counters.
-		bs := backend.Serve(p.hist, *m)
-		bs.Requests = p.bk.Requests
-		bs.Shed = p.bk.Shed
-		bs.Retries = p.bk.Retries
-		bs.Redelivered = p.bk.Redelivered
-		bs.Dropped = p.bk.Dropped
-		bs.Pending = p.bk.Pending
+	if m != nil && hist != nil {
+		bs := backend.Serve(hist, *m)
+		bs.Requests, bs.Shed, bs.Retries = bk.Requests, bk.Shed, bk.Retries
+		bs.Redelivered, bs.Dropped, bs.Pending = bk.Redelivered, bk.Dropped, bk.Pending
 		ps.Backend = &bs
 	}
 	return ps
 }
 
-// Aggregate is the streaming fleet aggregate: O(1) space in the number
-// of devices. Devices must be folded in index order (the runner
-// guarantees this) for the byte-identical-JSON contract to hold.
+// Aggregate is the streaming fleet aggregate: its state is the shard
+// aggregate of the device prefix folded so far, so folding one device
+// and merging a whole shard keep the same books.
 type Aggregate struct {
-	spec                          Spec
-	devices, leaky                int
-	base, test                    *policyAcc
-	total, awake, standby, wakeup *acc
+	spec  Spec
+	state ShardAggregate
 }
 
 // NewAggregate returns an empty aggregate for the spec, ready to fold
@@ -218,56 +171,48 @@ type Aggregate struct {
 // into it, checkpointed or freshly run.
 func NewAggregate(spec Spec) *Aggregate {
 	spec = spec.WithDefaults()
-	return &Aggregate{
-		spec: spec,
-		base: newPolicyAcc(spec.Backend), test: newPolicyAcc(spec.Backend),
-		total: newAcc(), awake: newAcc(), standby: newAcc(), wakeup: newAcc(),
+	a := &Aggregate{spec: spec, state: ShardAggregate{HasBackend: spec.Backend != nil}}
+	if spec.Backend != nil {
+		width := spec.Backend.WithDefaults().BucketWidth
+		a.state.BaseHist, a.state.TestHist = backend.NewHistogram(width), backend.NewHistogram(width)
 	}
+	return a
 }
 
-// observe folds one device's base/test run pair into the aggregate. It
-// routes through the same Obs extraction the shard workers use, so the
-// in-process and multi-process paths fold bit-identical values.
+// observe folds one device's base/test run pair into the aggregate.
 func (a *Aggregate) observe(d Device, base, test *sim.Result) {
-	a.observeObs(makeObs(d, base, test))
-	a.base.observeBackend(base.Backend)
-	a.test.observeBackend(test.Backend)
-}
-
-// observeObs folds one device's extracted observation row.
-func (a *Aggregate) observeObs(o Obs) {
-	a.devices++
-	if o.Leaky {
-		a.leaky++
+	st := &a.state
+	st.fold.observe(d, base, test)
+	if st.HasBackend && base.Backend != nil {
+		st.BaseStats.Merge(base.Backend)
+		st.BaseHist.Merge(base.Backend.Hist)
 	}
-	a.base.observeObs(o.Base)
-	a.test.observeObs(o.Test)
-	a.total.add(o.Total)
-	a.awake.add(o.Awake)
-	a.standby.add(o.Standby)
-	a.wakeup.add(o.Wakeup)
+	if st.HasBackend && test.Backend != nil {
+		st.TestStats.Merge(test.Backend)
+		st.TestHist.Merge(test.Backend.Hist)
+	}
 }
 
 // Devices reports how many devices have been folded in.
-func (a *Aggregate) Devices() int { return a.devices }
+func (a *Aggregate) Devices() int { return a.state.fold[0].N() }
 
 // Summary snapshots the aggregate into its deterministic JSON form.
 func (a *Aggregate) Summary() Summary {
-	s := a.spec.WithDefaults()
+	s, st, f := a.spec, &a.state, &a.state.fold
 	return Summary{
-		Devices:    a.devices,
+		Devices:    a.Devices(),
 		Seed:       s.Seed,
 		Hours:      s.Hours,
 		BasePolicy: s.BasePolicy,
 		TestPolicy: s.TestPolicy,
-		Base:       a.base.summary(s.Backend),
-		Test:       a.test.summary(s.Backend),
+		Base:       f.policy(0, s.Backend, &st.BaseStats, st.BaseHist),
+		Test:       f.policy(1, s.Backend, &st.TestStats, st.TestHist),
 		Savings: SavingsSummary{
-			Total:            a.total.dist(),
-			Awake:            a.awake.dist(),
-			StandbyExtension: a.standby.dist(),
-			WakeupReduction:  a.wakeup.dist(),
+			Total:            dist(&f[savings]),
+			Awake:            dist(&f[savings+1]),
+			StandbyExtension: dist(&f[savings+2]),
+			WakeupReduction:  dist(&f[savings+3]),
 		},
-		LeakyDevices: a.leaky,
+		LeakyDevices: int(f[leaky].Sum()),
 	}
 }

@@ -6,24 +6,35 @@ import (
 	"testing"
 )
 
-// TestShardCodecRoundTrip: EncodeShard/DecodeShard reproduce the shard
-// exactly (DeepEqual over every row and pre-fold) and the encoding is
+// TestShardCodecRoundTrip: DecodeShard reads back exactly what
+// EncodeShard wrote — the decoded shard re-encodes to the same bytes and
+// merges to the same summary as the original — and the encoding is
 // deterministic, for both fleet shapes.
 func TestShardCodecRoundTrip(t *testing.T) {
 	for name, spec := range shardSpecs() {
 		t.Run(name, func(t *testing.T) {
+			want, got := NewAggregate(spec), NewAggregate(spec)
 			for _, sa := range runShards(t, spec, 7) {
 				blob := EncodeShard(sa)
 				if string(blob) != string(EncodeShard(sa)) {
 					t.Fatal("shard encoding is not deterministic")
 				}
-				got, err := DecodeShard(blob)
+				dec, err := DecodeShard(blob)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, sa) {
-					t.Fatalf("shard [%d, %d) round trip mismatch", sa.Lo, sa.Hi)
+				if string(EncodeShard(dec)) != string(blob) {
+					t.Fatalf("shard [%d, %d) re-encodes to different bytes", sa.Lo, sa.Hi)
 				}
+				if err := want.MergeShard(sa); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.MergeShard(dec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(got.Summary(), want.Summary()) {
+				t.Fatal("decoded shards merge to a different summary")
 			}
 		})
 	}
@@ -59,7 +70,7 @@ func TestShardCodecRejectsBadFrames(t *testing.T) {
 	}
 
 	// Structural damage behind a recomputed (valid) checksum: the range
-	// no longer matches the row count.
+	// no longer matches the state's device count.
 	reframed := func(f func(b []byte)) []byte {
 		payload := append([]byte(nil), blob[frameHeaderSize:len(blob)-4]...)
 		f(payload)

@@ -72,8 +72,9 @@ type Result struct {
 // past the shard that produced them.
 //
 // Determinism: device sampling is a pure function of (Spec, index) and
-// results are folded in device order, so Run's Summary is byte-identical
-// across worker counts and shard sizes for a fixed Spec. Cancelling ctx
+// the aggregate's accumulators merge exactly, so Run's Summary is
+// byte-identical across worker counts and shard sizes for a fixed Spec;
+// devices still fold in order, for Progress and Snapshot. Cancelling ctx
 // aborts the fleet with ctx's error.
 //
 // Error contract: a failure mid-fleet (a poisoned shard, ctx

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"testing"
 )
 
@@ -49,6 +51,50 @@ func FuzzFleetSpec(f *testing.F) {
 				if len(cfg.Workload) != len(d.Workload) {
 					t.Fatalf("config dropped workload apps: %d vs %d", len(cfg.Workload), len(d.Workload))
 				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeShard: DecodeShard is total over arbitrary bytes. It never
+// panics; an accepted frame re-encodes to exactly its bytes; and a
+// rejected one allocated little, because every count or length the
+// decoder reads is checked against the bytes that remain, and the whole
+// payload validated, before anything is sized by it. Each input is
+// decoded as it is and, rewrapped in a valid envelope, as a payload, so
+// mutations reach the payload parser instead of failing the checksum.
+// The seeds are real frames, with and without a backend model.
+func FuzzDecodeShard(f *testing.F) {
+	specs := shardSpecs()
+	for _, name := range []string{"plain", "backend"} {
+		for _, r := range [][2]int{{0, 1}, {1, 3}} {
+			sa, err := RunShard(context.Background(), specs[name], r[0], r[1], 2)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(EncodeShard(sa))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := [][]byte{data}
+		if len(data) >= frameHeaderSize+4 {
+			frames = append(frames, frame(data[frameHeaderSize:len(data)-4]))
+		}
+		for _, b := range frames {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sa, err := DecodeShard(b)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				// The shard struct, error text and histogram maps: a
+				// fixed allowance plus a few bytes per input byte.
+				if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(b)); got > bound {
+					t.Fatalf("rejected a %d-byte frame after allocating %d bytes (bound %d): %v", len(b), got, bound, err)
+				}
+				continue
+			}
+			if out := EncodeShard(sa); !bytes.Equal(out, b) {
+				t.Fatalf("accepted frame re-encodes to different bytes:\n in %x\nout %x", b, out)
 			}
 		}
 	})

@@ -80,8 +80,9 @@ func TestMergeShardMatchesRun(t *testing.T) {
 }
 
 // TestMergeShardRejectsBadShards pins the merge guards: out-of-order
-// arrival, spec-hash mismatch, row-count mismatch, and backend-presence
-// mismatch are all errors, never silent corruption.
+// arrival, spec-hash mismatch, a state whose device count is not the
+// shard's, and backend-presence mismatch are all errors, never silent
+// corruption.
 func TestMergeShardRejectsBadShards(t *testing.T) {
 	spec := shardSpecs()["plain"]
 	shards := runShards(t, spec, 8)
@@ -102,9 +103,9 @@ func TestMergeShardRejectsBadShards(t *testing.T) {
 	}
 
 	short := *shards[0]
-	short.Obs = short.Obs[:len(short.Obs)-1]
+	short.fold = runShards(t, spec, 7)[0].fold
 	if err := NewAggregate(spec).MergeShard(&short); err == nil {
-		t.Error("shard with missing rows merged")
+		t.Error("shard whose state folds 7 of its 8 devices merged")
 	}
 
 	flipped := *shards[0]

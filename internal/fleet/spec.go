@@ -3,14 +3,14 @@
 // management service would face. A Spec describes seeded distributions
 // over device configurations (app mixes, push and screen-session rates,
 // battery capacity, optional fault plans); the runner samples N devices,
-// shards them across the sim.RunAll worker pool, and streams the
-// per-device results into memory-bounded online aggregates (Welford
-// means, P² quantiles), never retaining per-run Records or traces.
+// shards them across the sim.RunAll worker pool, and folds the
+// per-device results into exactly mergeable accumulators (stats.Acc),
+// never retaining per-run Records or traces.
 //
 // Determinism contract: device i's configuration is a pure function of
-// (Spec, i), and results are folded in device order regardless of how
-// many workers executed the runs, so a fleet's JSON aggregate is
-// byte-identical for a fixed Spec across any worker count or shard size.
+// (Spec, i), and the accumulators merge exactly, so a fleet's JSON
+// aggregate is byte-identical for a fixed Spec across any worker count,
+// shard size or process count.
 package fleet
 
 import (

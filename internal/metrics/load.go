@@ -1,10 +1,7 @@
 package metrics
 
-import "repro/internal/stats"
-
 // LoadDist is the JSON snapshot of one backend-load series (per-bucket
-// queue depths, admission latencies): streaming Welford moments plus P²
-// quantile estimates, O(1) space however long the series runs. It is the
+// queue depths, admission latencies) read from a stats.Acc: the
 // backend-model counterpart of the fleet layer's device distributions.
 type LoadDist struct {
 	N    int     `json:"n"`
@@ -13,43 +10,4 @@ type LoadDist struct {
 	P50  float64 `json:"p50"`
 	P95  float64 `json:"p95"`
 	P99  float64 `json:"p99"`
-}
-
-// LoadAcc streams a LoadDist one sample at a time.
-type LoadAcc struct {
-	w             stats.Welford
-	p50, p95, p99 stats.P2Quantile
-}
-
-// NewLoadAcc returns an empty accumulator.
-func NewLoadAcc() *LoadAcc {
-	return &LoadAcc{
-		p50: stats.NewP2Quantile(0.50),
-		p95: stats.NewP2Quantile(0.95),
-		p99: stats.NewP2Quantile(0.99),
-	}
-}
-
-// Add folds one sample.
-func (a *LoadAcc) Add(x float64) {
-	a.w.Add(x)
-	a.p50.Add(x)
-	a.p95.Add(x)
-	a.p99.Add(x)
-}
-
-// Dist snapshots the accumulated distribution. An empty accumulator
-// yields the zero LoadDist.
-func (a *LoadAcc) Dist() LoadDist {
-	if a.w.N() == 0 {
-		return LoadDist{}
-	}
-	return LoadDist{
-		N:    a.w.N(),
-		Mean: a.w.Mean(),
-		Max:  a.w.Max(),
-		P50:  a.p50.Value(),
-		P95:  a.p95.Value(),
-		P99:  a.p99.Value(),
-	}
 }

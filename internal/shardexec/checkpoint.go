@@ -24,7 +24,7 @@ import (
 //	'S' — one completed shard: a WFSH frame exactly as the worker
 //	      emitted it.
 //
-// A resumed run refolds every 'S' record through the same device-order
+// A resumed run merges every 'S' record through the same device-order
 // merge a fresh run uses, so the log needs no aggregate state of its
 // own.
 //
@@ -36,9 +36,9 @@ import (
 // so a record that scans clean was durably complete.
 
 const (
-	// checkpointVersion changes with the set of record types, so a log
-	// from another version is refused rather than half-read.
-	checkpointVersion = 2
+	// checkpointVersion changes with the record types or their frames,
+	// so a log from another version is refused rather than half-read.
+	checkpointVersion = 3
 
 	recHeader = 'H'
 	recShard  = 'S'

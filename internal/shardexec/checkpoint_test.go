@@ -246,7 +246,8 @@ func writeLog(t *testing.T, path string, recs []logRecord) {
 // checkpointed run writes one 'H' record and then one 'S' record per
 // shard, and nothing else; resuming the complete log launches no
 // worker and reproduces fleet.Run's summary byte for byte; and a log
-// whose header carries version 1 is refused.
+// whose header carries any older version is refused by an error naming
+// both versions.
 func TestCheckpointLogHoldsHeaderAndShards(t *testing.T) {
 	spec := testSpec(true)
 	want := cleanSummary(t, spec)
@@ -294,19 +295,21 @@ func TestCheckpointLogHoldsHeaderAndShards(t *testing.T) {
 		t.Fatalf("resumed summary diverged:\n got %s\nwant %s", got, want)
 	}
 
-	var hdr checkpointHeader
-	if err := json.Unmarshal(recs[0].payload, &hdr); err != nil {
-		t.Fatal(err)
-	}
-	hdr.Version = 1
-	old, err := json.Marshal(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeLog(t, ckpt, append([]logRecord{{recHeader, old}}, recs[1:]...))
-	wantErr := fmt.Sprintf("checkpoint version 1, want %d", checkpointVersion)
-	if _, err := Run(context.Background(), spec, opts); err == nil || !strings.Contains(err.Error(), wantErr) {
-		t.Fatalf("version 1 log resumed: %v", err)
+	for version := 1; version < checkpointVersion; version++ {
+		var hdr checkpointHeader
+		if err := json.Unmarshal(recs[0].payload, &hdr); err != nil {
+			t.Fatal(err)
+		}
+		hdr.Version = version
+		old, err := json.Marshal(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeLog(t, ckpt, append([]logRecord{{recHeader, old}}, recs[1:]...))
+		wantErr := fmt.Sprintf("checkpoint version %d, want %d", version, checkpointVersion)
+		if _, err := Run(context.Background(), spec, opts); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("version %d log resumed: %v", version, err)
+		}
 	}
 }
 

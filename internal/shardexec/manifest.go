@@ -2,10 +2,10 @@
 // processes and survives their deaths. A supervisor splits the fleet's
 // device range into shard manifests, hands each to a child worker
 // process (the wakesim binary re-invoked in -shardworker mode), and
-// merges the returned shard aggregates in device order — which, by the
-// fleet package's observation-replay design, makes the final Summary
-// JSON byte-identical to a single-process fleet.Run regardless of the
-// process count or which workers crashed along the way.
+// merges the shard states they return, exactly and in device order — so
+// the final Summary JSON is byte-identical to a single-process fleet.Run
+// regardless of the process count or which workers crashed along the
+// way.
 //
 // Robustness is the point of the package: each shard gets a per-attempt
 // deadline and capped-backoff retries; a worker that exits nonzero,
@@ -15,7 +15,7 @@
 // partial result with joined errors, mirroring fleet.Run's contract. An
 // optional checkpoint file (an append-only, checksummed record log)
 // persists every completed shard, so a run killed mid-flight resumes by
-// refolding the logged shards and re-running only the missing ones.
+// merging the logged shards and re-running only the missing ones.
 package shardexec
 
 import (

@@ -127,10 +127,10 @@ type shardResult struct {
 }
 
 // Run executes the spec's fleet across worker processes and merges the
-// shard results in device order, so the Summary of the returned
-// aggregate is byte-identical to a single-process fleet.Run of the same
-// spec — regardless of Procs, ShardSize, worker crashes, retries, or a
-// checkpoint resume in the middle.
+// shard states in device order. The merge is exact, so the Summary of
+// the returned aggregate is byte-identical to a single-process
+// fleet.Run of the same spec — regardless of Procs, ShardSize, worker
+// crashes, retries, or a checkpoint resume in the middle.
 //
 // Error contract (mirroring fleet.Run): a quarantined shard or a
 // cancelled context returns the partial *Result alongside the error —

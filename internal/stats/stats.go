@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolkit the evaluation
 // needs: means, standard deviations and confidence half-widths for the
 // three-trial averages the paper reports, the batch extremes and
-// quantile the streaming estimators are checked against, and
-// memory-bounded streaming estimators (Welford mean/variance, P²
-// quantiles) for fleet-scale populations where per-run values cannot be
-// retained.
+// quantile the streaming accumulator is checked against, and that
+// accumulator, Acc, exactly mergeable, for fleet-scale populations where
+// per-run values cannot be retained.
 package stats
 
 import "math"

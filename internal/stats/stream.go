@@ -1,205 +1,235 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
 
-// The fleet simulator aggregates metrics over populations far too large
-// to retain per-run values (10k devices × several metrics × two
-// policies), so this file provides memory-bounded streaming estimators:
-// Welford's online mean/variance recurrence and the P² algorithm (Jain &
-// Chlamtac, CACM 1985) for quantiles. Both are pure arithmetic over a
-// fixed fold order, which is what lets fleet aggregates stay
-// byte-identical regardless of how many workers produced the inputs.
-
-// Welford accumulates count, mean, and variance online in O(1) space
-// using Welford's numerically stable recurrence, plus running min/max.
-// The zero value is an empty accumulator ready for use.
-type Welford struct {
+// Acc accumulates a distribution in a state that merges exactly: any
+// partition of a sequence, folded in parts and merged in any order, reads
+// back bit for bit what one sequential fold does. It holds the count,
+// extremes, Σx and Σx² as exact float expansions, and a count per bucket
+// of a relative-error log sketch (after DDSketch, Masson et al., VLDB
+// 2019). The zero value is empty and ready.
+type Acc struct {
 	n        int
-	mean, m2 float64
 	min, max float64
+	sum, sq  expansion
+	zero     uint64
+	pos, neg buckets // keyed by x for x > 0, by −x for x < 0
 }
 
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+// Add folds one observation, allocating only when x falls outside the
+// buckets seen so far. It panics on a NaN or an infinity.
+func (a *Acc) Add(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		panic(fmt.Sprintf("stats: Acc.Add(%v): observations must be finite", x))
 	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	if x == 0 {
+		x = 0 // −0 becomes +0, so Min and Max never depend on fold order
+	}
+	a.extend(x, x, 1)
+	a.sum.add(x)
+	a.sq.addProd(x, x)
+	switch {
+	case x > 0:
+		a.pos.add(bucketOf(x), 1)
+	case x < 0:
+		a.neg.add(bucketOf(-x), 1)
+	default:
+		a.zero++
+	}
+}
+
+// extend counts n observations spanning [lo, hi].
+func (a *Acc) extend(lo, hi float64, n int) {
+	if a.n == 0 || lo < a.min {
+		a.min = lo
+	}
+	if a.n == 0 || hi > a.max {
+		a.max = hi
+	}
+	a.n += n
+}
+
+// Merge folds b's observations into a, exactly. a and b must differ.
+func (a *Acc) Merge(b *Acc) {
+	if b.n > 0 {
+		a.extend(b.min, b.max, b.n)
+	}
+	for _, c := range b.sum.c[:b.sum.n] {
+		a.sum.add(c)
+	}
+	for _, c := range b.sq.c[:b.sq.n] {
+		a.sq.add(c)
+	}
+	a.zero += b.zero
+	a.pos.merge(&b.pos)
+	a.neg.merge(&b.neg)
+}
+
+// Grow reserves buckets so adding positive observations in [lo, hi]
+// allocates nothing, as bytes.Buffer.Grow does for bytes.
+func (a *Acc) Grow(lo, hi float64) {
+	if lo > 0 && lo <= hi && hi <= math.MaxFloat64 {
+		a.pos.cover(bucketOf(lo), bucketOf(hi))
+	}
 }
 
 // N is the number of observations folded in.
-func (w *Welford) N() int { return w.n }
+func (a *Acc) N() int { return a.n }
 
-// Mean is the running arithmetic mean, 0 when empty.
-func (w *Welford) Mean() float64 { return w.mean }
+// Min is the smallest observation, 0 when empty.
+func (a *Acc) Min() float64 { return a.min }
 
-// Variance is the sample variance (n−1 denominator), 0 for fewer than
-// two observations.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
+// Max is the largest observation, 0 when empty.
+func (a *Acc) Max() float64 { return a.max }
+
+// Sum is Σx, exact until rounded once here.
+func (a *Acc) Sum() float64 { return a.sum.round() }
+
+// Mean is Sum divided by N, 0 when empty.
+func (a *Acc) Mean() float64 {
+	if a.n == 0 {
 		return 0
 	}
-	return w.m2 / float64(w.n-1)
+	return a.Sum() / float64(a.n)
 }
 
 // Std is the sample standard deviation, 0 for fewer than two
-// observations.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Min is the smallest observation, 0 when empty.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max is the largest observation, 0 when empty.
-func (w *Welford) Max() float64 { return w.max }
-
-// CI95 is the half-width of the 95% confidence interval of the mean
-// (Student-t, matching the batch CI95), 0 for fewer than two
-// observations.
-func (w *Welford) CI95() float64 {
-	if w.n < 2 {
+// observations, from n·Σx² − (Σx)² evaluated exactly and rounded once.
+func (a *Acc) Std() float64 {
+	if a.n < 2 {
 		return 0
 	}
-	return critT95(w.n) * w.Std() / math.Sqrt(float64(w.n))
+	n := float64(a.n)
+	var d expansion
+	for _, q := range a.sq.c[:a.sq.n] {
+		d.addProd(n, q)
+	}
+	for _, x := range a.sum.c[:a.sum.n] {
+		for _, y := range a.sum.c[:a.sum.n] {
+			d.addProd(-x, y)
+		}
+	}
+	return math.Sqrt(max(d.round(), 0) / (n * (n - 1)))
 }
 
-// P2Quantile estimates one quantile online with the P² algorithm: five
-// markers track the running minimum, maximum, target quantile, and the
-// two intermediate quantiles, adjusted per observation by a piecewise-
-// parabolic fit. O(1) space, deterministic for a fixed input order, and
-// exact for the first five observations.
-type P2Quantile struct {
-	p   float64
-	n   int
-	q   [5]float64 // marker heights
-	pos [5]float64 // marker positions (1-based)
-	des [5]float64 // desired marker positions
-	inc [5]float64 // desired-position increments per observation
+// CI95 is the half-width of the 95% confidence interval of the mean
+// (Student-t, as the batch CI95), 0 for fewer than two observations.
+func (a *Acc) CI95() float64 {
+	if a.n < 2 {
+		return 0
+	}
+	return critT95(a.n) * a.Std() / math.Sqrt(float64(a.n))
 }
 
-// NewP2Quantile returns an estimator for the p'th quantile (p clamped to
-// [0, 1]).
-func NewP2Quantile(p float64) P2Quantile {
+// Quantile estimates Quantile(xs, p) (R-7): with r = p·(N−1), it
+// interpolates the midpoints of the buckets holding x₍⌊r⌋₎ and x₍⌈r⌉₎,
+// each within 2⁻⁸ of its value, and clamps to [Min, Max]: within
+// 2⁻⁷·max(|x₍⌊r⌋₎|, |x₍⌈r⌉₎|) of the exact quantile, rounding included.
+func (a *Acc) Quantile(p float64) float64 {
+	if a.n == 0 {
+		return 0
+	}
+	r := rank(p, a.n)
+	lo := math.Floor(r)
+	v := a.midpointAt(uint64(lo))
+	if f := r - lo; f > 0 {
+		v += float64(f * (a.midpointAt(uint64(lo)+1) - v))
+	}
+	return min(max(v, a.min), a.max)
+}
+
+// midpointAt is the midpoint of the k'th smallest observation's bucket.
+func (a *Acc) midpointAt(k uint64) float64 {
+	for i := len(a.neg.counts) - 1; i >= 0; i-- {
+		if k < a.neg.counts[i] {
+			return -midpoint(a.neg.lo + i)
+		}
+		k -= a.neg.counts[i]
+	}
+	if k < a.zero {
+		return 0
+	}
+	k -= a.zero
+	for i, c := range a.pos.counts {
+		if k < c {
+			return midpoint(a.pos.lo + i)
+		}
+		k -= c
+	}
+	return a.max // unreachable while the counts sum to N
+}
+
+// A bucket is one of subBuckets slices of a Frexp octave [2^(e−1), 2^e),
+// 2⁻⁸·2^e wide, so its midpoint is within 2⁻⁸ of its values, relative:
+// half Quantile's 2⁻⁷, which leaves its roundings room.
+const (
+	octaveBits = 7
+	subBuckets = 1 << octaveBits
+)
+
+// The keys of the smallest and largest positive finite floats.
+var minKey, maxKey = bucketOf(math.SmallestNonzeroFloat64), bucketOf(math.MaxFloat64)
+
+// bucketOf is the key of a finite m > 0, increasing with m.
+func bucketOf(m float64) int {
+	frac, exp := math.Frexp(m) // frac ∈ [0.5, 1)
+	return exp<<octaveBits + int((frac-0.5)*(2*subBuckets))
+}
+
+func midpoint(k int) float64 {
+	return math.Ldexp(0.5+(float64(k&(subBuckets-1))+0.5)/(2*subBuckets), k>>octaveBits)
+}
+
+type buckets struct { // counts per key, for keys lo, lo+1, …
+	lo     int
+	counts []uint64
+}
+
+func (b *buckets) add(k int, c uint64) {
+	if k < b.lo || k >= b.lo+len(b.counts) {
+		b.cover(k, k)
+	}
+	b.counts[k-b.lo] += c
+}
+
+// cover widens the keys to include [klo, khi], at least twofold.
+func (b *buckets) cover(klo, khi int) {
+	old := len(b.counts)
+	if old > 0 {
+		if klo >= b.lo && khi < b.lo+old {
+			return
+		}
+		klo, khi = min(klo, b.lo), max(khi, b.lo+old-1)
+	}
+	lo, size := klo, max(khi-klo+1, 2*old, subBuckets)
+	if old > 0 && klo < b.lo {
+		lo = khi + 1 - size
+	}
+	counts := make([]uint64, size)
+	if old > 0 {
+		copy(counts[b.lo-lo:], b.counts)
+	}
+	b.lo, b.counts = lo, counts
+}
+
+func (b *buckets) merge(o *buckets) {
+	for i, c := range o.counts {
+		if c != 0 {
+			b.add(o.lo+i, c)
+		}
+	}
+}
+
+// rank is the R-7 rank p·(n−1), with p clamped to [0, 1].
+func rank(p float64, n int) float64 {
 	if !(p >= 0) { // also catches NaN
 		p = 0
 	}
-	if p > 1 {
-		p = 1
-	}
-	return P2Quantile{
-		p:   p,
-		inc: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
-	}
-}
-
-// Add folds one observation into the estimator.
-func (e *P2Quantile) Add(x float64) {
-	e.n++
-	if e.n <= 5 {
-		// Insertion-sort the first five observations; they initialize
-		// the markers exactly.
-		i := e.n - 1
-		for i > 0 && e.q[i-1] > x {
-			e.q[i] = e.q[i-1]
-			i--
-		}
-		e.q[i] = x
-		if e.n == 5 {
-			p := e.p
-			e.pos = [5]float64{1, 2, 3, 4, 5}
-			e.des = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-		}
-		return
-	}
-
-	// Locate the cell containing x, extending the extremes if needed.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.des[i] += e.inc[i]
-	}
-
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.des[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			q := e.parabolic(i, sign)
-			if e.q[i-1] < q && q < e.q[i+1] {
-				e.q[i] = q
-			} else {
-				e.q[i] = e.linear(i, sign)
-			}
-			e.pos[i] += sign
-		}
-	}
-}
-
-// parabolic is the piecewise-parabolic (P²) marker-height update.
-func (e *P2Quantile) parabolic(i int, d float64) float64 {
-	return e.q[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback update when the parabolic estimate would leave
-// the bracketing markers.
-func (e *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// Value is the current quantile estimate: the P² center marker once
-// more than five observations have arrived, the exact batch quantile of
-// the stored observations before that, and 0 when empty.
-func (e *P2Quantile) Value() float64 {
-	if e.n == 0 {
-		return 0
-	}
-	if e.n <= 5 {
-		// e.q[:n] is sorted; interpolate exactly as Quantile does.
-		return interpolate(e.q[:e.n], e.p)
-	}
-	// The extreme quantiles are tracked exactly by the outer markers;
-	// the P² marker scheme only approximates interior quantiles.
-	switch e.p {
-	case 0:
-		return e.q[0]
-	case 1:
-		return e.q[4]
-	}
-	return e.q[2]
+	return min(p, 1) * float64(n-1)
 }
 
 // Quantile returns the p'th quantile of xs by linear interpolation
@@ -211,22 +241,10 @@ func Quantile(xs []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return interpolate(s, p)
-}
-
-// interpolate evaluates the R-7 quantile on an already-sorted slice.
-func interpolate(sorted []float64, p float64) float64 {
-	if !(p >= 0) {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	r := p * float64(len(sorted)-1)
-	lo := int(math.Floor(r))
-	hi := int(math.Ceil(r))
+	r := rank(p, len(s))
+	lo, hi := int(math.Floor(r)), int(math.Ceil(r))
 	if lo == hi {
-		return sorted[lo]
+		return s[lo]
 	}
-	return sorted[lo] + (r-float64(lo))*(sorted[hi]-sorted[lo])
+	return s[lo] + (r-float64(lo))*(s[hi]-s[lo])
 }
