@@ -12,9 +12,9 @@
 // averages three runs) and the mean is reported. Independent runs fan
 // out over a worker pool (-workers, default GOMAXPROCS); -progress
 // prints per-run completions to stderr. -devices sizes the fleet, herd
-// and tournament populations (0 keeps 10,000, 200 and 96 per cell).
-// -procs P shards the fleet and tournament experiments (not herd) over
-// P `report -shardworker` processes; the tables stay byte-identical.
+// and tournament populations (0 keeps 10,000, 200 and 96 per cell), and
+// -procs P shards the same three experiments over P
+// `report -shardworker` processes; the tables stay byte-identical.
 // Either flag is an error with an experiment it does not apply to.
 //
 // Every flag is validated before any experiment starts; a bad value
@@ -63,7 +63,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.format, "format", "text", "output format: text, markdown, or csv")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	fs.IntVar(&o.devices, "devices", 0, "fleet, herd and tournament population size (0 = 10000, 200 and 96 per cell)")
-	fs.IntVar(&o.procs, "procs", 0, "run the fleet and tournament experiments across N supervised worker processes (0 = in-process)")
+	fs.IntVar(&o.procs, "procs", 0, "run the fleet, herd and tournament experiments across N supervised worker processes (0 = in-process)")
 	fs.BoolVar(&o.progress, "progress", false, "print per-run completions to stderr")
 	fs.BoolVar(&o.shardworker, "shardworker", false, "internal: run as a shard worker (manifest on stdin, framed shard on stdout)")
 	return o
@@ -100,11 +100,12 @@ func (o *options) validate() error {
 	if o.procs < 0 {
 		return fmt.Errorf("-procs %d: want a non-negative process count", o.procs)
 	}
-	if o.devices > 0 && !slices.Contains([]string{"all", "fleet", "herd", "tournament"}, o.experiment) {
+	population := slices.Contains([]string{"all", "fleet", "herd", "tournament"}, o.experiment)
+	if o.devices > 0 && !population {
 		return fmt.Errorf("-devices only applies to the fleet, herd and tournament experiments")
 	}
-	if o.procs > 0 && !slices.Contains([]string{"all", "fleet", "tournament"}, o.experiment) {
-		return fmt.Errorf("-procs only applies to the fleet and tournament experiments")
+	if o.procs > 0 && !population {
+		return fmt.Errorf("-procs only applies to the fleet, herd and tournament experiments")
 	}
 	return nil
 }

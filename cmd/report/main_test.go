@@ -54,7 +54,7 @@ func TestValidateFlags(t *testing.T) {
 		{"sharded tournament", []string{"-experiment", "tournament", "-procs", "2"}, ""},
 		{"herd population", []string{"-experiment", "herd", "-devices", "50"}, ""},
 		{"procs with fig3", []string{"-experiment", "fig3", "-procs", "2"}, "-procs only applies"},
-		{"procs with herd", []string{"-experiment", "herd", "-procs", "2"}, "-procs only applies"},
+		{"procs with herd", []string{"-experiment", "herd", "-procs", "2"}, ""},
 		{"devices with table1", []string{"-experiment", "table1", "-devices", "100"}, "-devices only applies"},
 		{"devices with list", []string{"-experiment", "list", "-devices", "100"}, "-devices only applies"},
 	}

@@ -73,7 +73,6 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/apps"
@@ -515,35 +514,22 @@ func (o *options) runFleet(w io.Writer) error {
 		spec.TestPolicy = o.policy
 	}
 
-	var (
-		agg       *fleet.Aggregate
-		wall      time.Duration
-		shardLine string
-	)
-	if o.procs > 0 {
-		res, err := shardexec.Run(context.Background(), spec, shardexec.Options{
-			Procs:      o.procs,
-			Workers:    o.workers,
-			Checkpoint: o.checkpoint,
-			Resume:     o.resume,
-		})
-		if err != nil {
-			return err
-		}
-		agg, wall = res.Agg, res.Wall
-		shardLine = fmt.Sprintf("shards: %d over %d procs, %d attempts (%d retries), %d resumed from checkpoint\n",
-			res.Shards, o.procs, res.Attempts, res.Retries, res.Resumed)
-	} else {
-		r, err := fleet.Run(context.Background(), spec, fleet.Options{Workers: o.workers})
-		if err != nil {
-			return err
-		}
-		agg, wall = r.Agg, r.Wall
+	res, err := shardexec.Run(context.Background(), spec, shardexec.Options{
+		Procs:      o.procs,
+		Workers:    o.workers,
+		Checkpoint: o.checkpoint,
+		Resume:     o.resume,
+	})
+	if err != nil {
+		return err
 	}
-	s := agg.Summary()
+	s := res.Agg.Summary()
 	fmt.Fprintf(w, "fleet: %d devices, %s vs %s, %.1f h horizon, seed %d (%.1fs wall)\n",
-		s.Devices, s.BasePolicy, s.TestPolicy, s.Hours, s.Seed, wall.Seconds())
-	fmt.Fprint(w, shardLine)
+		s.Devices, s.BasePolicy, s.TestPolicy, s.Hours, s.Seed, res.Wall.Seconds())
+	if o.procs > 0 {
+		fmt.Fprintf(w, "shards: %d over %d procs, %d attempts (%d retries), %d resumed from checkpoint\n",
+			res.Shards, o.procs, res.Attempts, res.Retries, res.Resumed)
+	}
 	pct := func(name string, d fleet.Dist) {
 		fmt.Fprintf(w, "%s: mean %.1f%% ± %.1f (CI95), P50 %.1f%%, P95 %.1f%%, range [%.1f%%, %.1f%%]\n",
 			name, 100*d.Mean, 100*d.CI95, 100*d.P50, 100*d.P95, 100*d.Min, 100*d.Max)

@@ -1,11 +1,12 @@
 // Package httpapi is wakesimd's HTTP surface: submit single-device runs
 // and whole-fleet specs, fetch stored results, cancel in-flight work,
 // and tail per-device progress plus live aggregate snapshots over
-// Server-Sent Events. State lives in an internal/runstore Store; the
-// simulations themselves execute on the existing sim.RunAll/fleet.Run
-// pools, so everything the library guarantees — determinism,
-// byte-identical aggregates, partial results on failure — holds verbatim
-// for results fetched over HTTP.
+// Server-Sent Events. State lives in an internal/runstore Store. A run
+// executes on the sim.RunAll pool and a fleet through shardexec.Run —
+// in this process, or across worker processes when Options.Procs > 0 —
+// so everything the library guarantees — determinism, byte-identical
+// aggregates, partial results on failure — holds verbatim for results
+// fetched over HTTP.
 //
 //	POST   /runs               submit one device run (RunSpec JSON)
 //	POST   /fleets             submit a fleet (fleet.Spec JSON)
@@ -15,11 +16,11 @@
 //	GET    /fleets/{id}        fetch a fleet (aggregate once done)
 //	DELETE /runs/{id}          cancel (also /fleets/{id})
 //	GET    /runs/{id}/events   SSE: state transitions
-//	GET    /fleets/{id}/events SSE: per-run + per-device progress,
-//	                           aggregate snapshots, final summary (and
-//	                           per-shard worker lifecycle events when
-//	                           the daemon executes fleets across
-//	                           processes, Options.Procs > 0)
+//	GET    /fleets/{id}/events SSE: per-device progress, aggregate
+//	                           snapshots, final summary, and per-run
+//	                           progress in process or per-shard worker
+//	                           lifecycle events across processes
+//	                           (Options.Procs > 0)
 //	GET    /healthz            liveness + store occupancy
 //	GET    /readyz             readiness: 503 once the store is draining
 package httpapi
@@ -54,10 +55,11 @@ type Options struct {
 	// stay byte-silent — the comment frames keep the connection alive
 	// without adding events a client has to parse.
 	Heartbeat time.Duration
-	// Procs, when > 0, executes fleets through the multi-process shard
-	// supervisor (internal/shardexec) instead of the in-process pool:
-	// crashed workers are retried, the SSE stream gains "shard"
-	// lifecycle events, and the summary stays byte-identical.
+	// Procs, when > 0, executes fleets across that many supervised
+	// worker processes (internal/shardexec) instead of in process:
+	// crashed workers are retried, the SSE stream carries "shard"
+	// lifecycle events in place of "run" events, and the summary stays
+	// byte-identical.
 	Procs int
 	// ShardSize is the device range per worker process when Procs > 0;
 	// ≤ 0 means shardexec.DefaultShardSize.
@@ -166,11 +168,7 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// submitFleet accepts a fleet.Spec and executes it on the fleet runner,
-// wiring every progress layer into the SSE fan-out: per-run completions
-// ("run"), per-device folds ("device"), and periodic live aggregates
-// ("snapshot"). On a mid-fleet failure the partial aggregate is stored
-// with the error (fleet.Run's contract).
+// submitFleet accepts a fleet.Spec and queues it for fleetExec.
 func (s *Server) submitFleet(w http.ResponseWriter, r *http.Request) {
 	// fleet.ReadSpec is the one decode+default+validate path for fleet
 	// specs — the service accepts exactly what wakesim -fleet accepts,
@@ -217,11 +215,11 @@ type shardData struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// shardedFleetExec executes the fleet through the multi-process shard
-// supervisor. The progress surface matches fleetExec (same "device" and
-// "snapshot" events, same partial-result contract) plus per-shard
-// lifecycle events and live attempt/retry counters on the stored run.
-func (s *Server) shardedFleetExec(spec fleet.Spec) runstore.Exec {
+// fleetExec executes the fleet through shardexec.Run and wires every
+// observer into the SSE fan-out; the execution shape decides which of
+// them fire (see events). On a mid-fleet failure the partial aggregate
+// is stored with the error.
+func (s *Server) fleetExec(spec fleet.Spec) runstore.Exec {
 	return func(ctx context.Context, h runstore.Handle) (any, error) {
 		var attempts, retries int
 		opts := shardexec.Options{
@@ -232,6 +230,10 @@ func (s *Server) shardedFleetExec(spec fleet.Spec) runstore.Exec {
 			Progress: func(done, total int) {
 				h.SetProgress(done, total)
 				h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: done, Total: total}})
+			},
+			RunProgress: func(p sim.Progress) {
+				h.Publish(runstore.Event{Type: "run", Data: runData{Index: p.Index, Done: p.Done, Total: p.Total,
+					Name: p.Name, WallMS: float64(p.Wall.Microseconds()) / 1000}})
 			},
 			Snapshot: func(done, total int, sum fleet.Summary) {
 				h.Publish(runstore.Event{Type: "snapshot", Data: snapshotData{Done: done, Total: total, Summary: sum}})
@@ -256,37 +258,6 @@ func (s *Server) shardedFleetExec(spec fleet.Spec) runstore.Exec {
 			return nil, err
 		}
 		h.SetShardStats(r.Attempts, r.Retries)
-		if err != nil && r.Agg.Devices() == 0 {
-			return nil, err
-		}
-		return r.Agg.Summary(), err
-	}
-}
-
-func (s *Server) fleetExec(spec fleet.Spec) runstore.Exec {
-	if s.opts.Procs > 0 {
-		return s.shardedFleetExec(spec)
-	}
-	return func(ctx context.Context, h runstore.Handle) (any, error) {
-		opts := fleet.Options{
-			Workers:       s.opts.Workers,
-			SnapshotEvery: s.opts.SnapshotEvery,
-			Progress: func(done, total int) {
-				h.SetProgress(done, total)
-				h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: done, Total: total}})
-			},
-			RunProgress: func(p sim.Progress) {
-				h.Publish(runstore.Event{Type: "run", Data: runData{Index: p.Index, Done: p.Done, Total: p.Total,
-					Name: p.Name, WallMS: float64(p.Wall.Microseconds()) / 1000}})
-			},
-			Snapshot: func(done, total int, sum fleet.Summary) {
-				h.Publish(runstore.Event{Type: "snapshot", Data: snapshotData{Done: done, Total: total, Summary: sum}})
-			},
-		}
-		r, err := fleet.Run(ctx, spec, opts)
-		if r == nil {
-			return nil, err
-		}
 		if err != nil && r.Agg.Devices() == 0 {
 			// Nothing folded: the error alone tells the story.
 			return nil, err

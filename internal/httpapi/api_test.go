@@ -115,7 +115,16 @@ func tailSSE(t *testing.T, url string) []sseEvent {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return readSSE(t, resp)
+}
+
+// readSSE is tailSSE on a stream already opened. The handler subscribes
+// before it writes the response header, so the stream carries every
+// event published after http.Get returns.
+func readSSE(t *testing.T, resp *http.Response) []sseEvent {
+	t.Helper()
 	defer resp.Body.Close()
+	url := resp.Request.URL
 	if resp.StatusCode != http.StatusOK {
 		blob, _ := io.ReadAll(resp.Body)
 		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, blob)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -144,5 +145,72 @@ func TestShardedFleetSSERetry(t *testing.T) {
 	getJSON(t, ts.URL+"/fleets/"+run.ID, &snap)
 	if snap.Attempts != 5 || snap.Retries != 1 {
 		t.Fatalf("attempts=%d retries=%d, want 5 and 1", snap.Attempts, snap.Retries)
+	}
+}
+
+// TestFleetSSEEventsFollowExecutionShape: one fleet exec serves both
+// execution shapes, and the stream tells them apart — "run" events and
+// no "shard" events in process, "shard" lifecycle events and no "run"
+// events across worker processes — over the same summary bytes.
+func TestFleetSSEEventsFollowExecutionShape(t *testing.T) {
+	t.Setenv("HTTPAPI_TEST_SHARDWORKER", "1")
+	want := directSummaryJSON(t, fleetSpecJSON)
+	for _, tc := range []struct {
+		procs        int
+		runs, shards int
+	}{
+		// fleetSpecJSON has 60 devices: two runs each in process, or
+		// four 16-device shards that each start and finish once.
+		{procs: 0, runs: 120},
+		{procs: 2, shards: 8},
+	} {
+		t.Run(fmt.Sprintf("procs=%d", tc.procs), func(t *testing.T) {
+			store := runstore.New(1)
+			ts := httptest.NewServer(New(store, Options{SnapshotEvery: 100, Procs: tc.procs, ShardSize: 16}))
+			t.Cleanup(func() {
+				ts.Close()
+				store.CancelAll()
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				store.Drain(ctx)
+			})
+			// Hold the only slot until the fleet's stream is open, so the
+			// stream sees the fleet from its first event.
+			started, release := make(chan struct{}), make(chan struct{})
+			if _, err := store.Submit("run", func(ctx context.Context, h runstore.Handle) (any, error) {
+				close(started)
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return nil, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			status, run := post(t, ts.URL+"/fleets", fleetSpecJSON)
+			if status != http.StatusAccepted {
+				t.Fatalf("POST /fleets = %d", status)
+			}
+			resp, err := http.Get(ts.URL + "/fleets/" + run.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(release)
+			count := map[string]int{}
+			for _, ev := range readSSE(t, resp) {
+				count[ev.Type]++
+			}
+			if count["run"] != tc.runs || count["shard"] != tc.shards {
+				t.Fatalf("stream carried %d run and %d shard events, want %d and %d", count["run"], count["shard"], tc.runs, tc.shards)
+			}
+			if count["device"] == 0 || count["done"] != 1 {
+				t.Fatalf("stream carried %d device and %d done events", count["device"], count["done"])
+			}
+			e := waitTerminal(t, ts.URL+"/fleets/"+run.ID)
+			if e.State != runstore.StateDone || !bytes.Equal(e.Result, want) {
+				t.Fatalf("state %s (%s): summary diverged from direct fleet.Run", e.State, e.Error)
+			}
+		})
 	}
 }

@@ -18,7 +18,8 @@ import (
 // finished, and still observe the authoritative outcome:
 //
 //	event: state     {"id","state","error"?}        transitions
-//	event: run       {"index","done","total",...}   one sim run finished
+//	event: run       {"index","done","total",...}   one sim run finished (in process)
+//	event: shard     {"index","lo","hi","state",...} a worker shard's transition (Procs > 0)
 //	event: device    {"done","total"}               one device folded
 //	event: snapshot  {"done","total","summary"}     live aggregate
 //	event: done      {"id","state","error"?}        terminal; stream ends

@@ -29,9 +29,9 @@ type Options struct {
 	// Progress, when non-nil, receives one callback per finished run
 	// (forwarded to the parallel runner).
 	Progress func(sim.Progress)
-	// Procs, when > 0, executes the fleet and tournament experiments
-	// across supervised worker OS processes (internal/shardexec); the
-	// tables are byte-identical. The herd experiment ignores it.
+	// Procs, when > 0, executes the fleet, herd and tournament
+	// experiments across supervised worker OS processes
+	// (internal/shardexec); the tables are byte-identical.
 	Procs int
 }
 

@@ -3,7 +3,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/shardexec"
@@ -32,8 +31,8 @@ func fleetSpec(o Options) fleet.Spec {
 // Fleet scales the paper's single-device comparison to a simulated
 // population: the NATIVE-vs-SIMTY savings distribution across
 // heterogeneous devices, streamed through memory-bounded aggregates.
-// With Options.Procs > 0 the population runs across supervised worker
-// processes instead; the table is byte-identical either way.
+// Options.Procs picks the execution shape (see shardexec.Run); the
+// table is byte-identical in every shape.
 func Fleet(o Options) (*Table, error) {
 	o = o.withDefaults()
 	spec := fleetSpec(o)
@@ -48,26 +47,15 @@ func Fleet(o Options) (*Table, error) {
 			}
 		}
 	}
-	var agg *fleet.Aggregate
-	var wall time.Duration
-	if o.Procs > 0 {
-		r, err := shardexec.Run(context.Background(), spec, shardexec.Options{
-			Procs:    o.Procs,
-			Workers:  o.Workers,
-			Progress: progress,
-		})
-		if err != nil {
-			return nil, err
-		}
-		agg, wall = r.Agg, r.Wall
-	} else {
-		r, err := fleet.Run(context.Background(), spec, fleet.Options{Workers: o.Workers, Progress: progress})
-		if err != nil {
-			return nil, err
-		}
-		agg, wall = r.Agg, r.Wall
+	r, err := shardexec.Run(context.Background(), spec, shardexec.Options{
+		Procs:    o.Procs,
+		Workers:  o.Workers,
+		Progress: progress,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s := agg.Summary()
+	s := r.Agg.Summary()
 
 	t := &Table{ID: "fleet",
 		Title: fmt.Sprintf("Fleet: %s vs %s across %d heterogeneous devices (%.1f h horizon)",
@@ -88,7 +76,7 @@ func Fleet(o Options) (*Table, error) {
 	addDist(s.TestPolicy+" imperc delay (%)", s.Test.ImperceptibleDelay, 100, 1)
 
 	t.AddNote("%d devices (%d with an injected wakelock leak) streamed through online aggregates in %.1fs; P50/P95/P99 are within 2⁻⁷ (relative) of the exact quantiles.",
-		s.Devices, s.LeakyDevices, wall.Seconds())
+		s.Devices, s.LeakyDevices, r.Wall.Seconds())
 	t.AddNote("%s delivered %d perceptible alarms past their window (max normalized delay %.3f); %d wakeup alarms past grace. Nonzero counts under real wake latency come from the 0.4–1.4 s resume time, not the policy.",
 		s.TestPolicy, s.Test.PerceptibleLate, s.Test.MaxPerceptibleDelay, s.Test.GraceLate)
 	return t, nil

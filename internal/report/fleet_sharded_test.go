@@ -21,27 +21,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFleetShardedMatchesInProcess: the fleet experiment built through
-// the multi-process supervisor must render exactly the rows the
-// in-process build renders (wall time appears only in a note, which is
-// why the comparison is on Rows, not the rendered text).
+// TestFleetShardedMatchesInProcess: the fleet and herd experiments
+// built through the multi-process supervisor must render exactly the
+// rows the in-process build renders (wall time appears only in a note,
+// which is why the comparison is on Rows, not the rendered text).
 func TestFleetShardedMatchesInProcess(t *testing.T) {
-	opts := Options{Seed: 3, Duration: simclock.Duration(simclock.Hour / 10), FleetDevices: 40}
-	direct, err := Fleet(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Procs = 2
 	t.Setenv("REPORT_TEST_SHARDWORKER", "1")
-	sharded, err := Fleet(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Title != direct.Title {
-		t.Fatalf("titles diverged: %q vs %q", sharded.Title, direct.Title)
-	}
-	if !reflect.DeepEqual(sharded.Rows, direct.Rows) {
-		t.Fatalf("sharded fleet table diverged from in-process build:\nsharded %v\ndirect  %v", sharded.Rows, direct.Rows)
+	for _, build := range []struct {
+		name string
+		fn   func(Options) (*Table, error)
+	}{{"fleet", Fleet}, {"herd", Herd}} {
+		opts := Options{Seed: 3, Duration: simclock.Duration(simclock.Hour / 10), FleetDevices: 40}
+		direct, err := build.fn(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		opts.Procs = 2
+		sharded, err := build.fn(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharded.Title != direct.Title {
+			t.Fatalf("%s: titles diverged: %q vs %q", build.name, sharded.Title, direct.Title)
+		}
+		if !reflect.DeepEqual(sharded.Rows, direct.Rows) {
+			t.Fatalf("%s: sharded table diverged from in-process build:\nsharded %v\ndirect  %v", build.name, sharded.Rows, direct.Rows)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/shardexec"
 	"repro/internal/simclock"
 )
 
@@ -41,7 +42,8 @@ func herdSpec(o Options, devices int, testPolicy string) fleet.Spec {
 // batching — deferred instances pile onto shared instants, the herd at
 // its worst), and SIMTY-J (SIMTY plus a per-device phase spread that
 // desynchronizes the fleet). The experiment reports both edges of the
-// trade: server peak/overload and mean device energy.
+// trade: server peak/overload and mean device energy. Like Fleet, it
+// runs in the execution shape Options.Procs picks, with identical rows.
 func Herd(o Options) (*Table, error) {
 	// The herd fleet defaults far smaller than the 10k fleet experiment:
 	// each device runs the full 18-app catalog, and a few hundred lockstep
@@ -60,7 +62,7 @@ func Herd(o Options) (*Table, error) {
 	var rows []row
 	for _, testPolicy := range []string{"SIMTY", "SIMTY-J"} {
 		spec := herdSpec(o, devices, testPolicy)
-		r, err := fleet.Run(context.Background(), spec, fleet.Options{Workers: o.Workers})
+		r, err := shardexec.Run(context.Background(), spec, shardexec.Options{Procs: o.Procs, Workers: o.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -12,9 +12,9 @@ import (
 // Tournament runs the cross-regime policy competition: every registered
 // entrant (plus the NATIVE base) simulates the same fleets across the
 // steady, diurnal, and sync-heavy regimes, and the per-regime fleet
-// summaries are ranked into overall standings. With Options.Procs > 0
-// each fleet shards across supervised worker processes; the table is
-// byte-identical either way.
+// summaries are ranked into overall standings. Options.Procs picks each
+// fleet's execution shape, as in Fleet; the table is byte-identical in
+// every shape.
 func Tournament(o Options) (*Table, error) {
 	// Like the herd experiment, the tournament defaults far smaller than
 	// the 10k fleet: every device runs once per regime and policy (base

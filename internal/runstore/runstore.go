@@ -133,6 +133,8 @@ var ErrFinished = errors.New("runstore: run already finished")
 const subBuffer = 1024
 
 type entry struct {
+	// seq is the entry's submission number, the List order.
+	seq    int
 	mu     sync.Mutex
 	run    Run
 	ctx    context.Context
@@ -189,6 +191,7 @@ func (s *Store) Submit(kind string, exec Exec) (Run, error) {
 	id := fmt.Sprintf("%s-%06d", kindPrefix(kind), s.seq)
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &entry{
+		seq:    s.seq,
 		run:    Run{ID: id, Kind: kind, State: StatePending, Created: time.Now()},
 		ctx:    ctx,
 		cancel: cancel,
@@ -250,11 +253,11 @@ func (s *Store) List() []Run {
 		es = append(es, e)
 	}
 	s.mu.Unlock()
+	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
 	runs := make([]Run, len(es))
 	for i, e := range es {
 		runs[i] = e.snapshot()
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].ID < runs[j].ID })
 	return runs
 }
 
@@ -368,11 +371,15 @@ func (s *Store) Draining() bool {
 
 // Active counts runs not yet in a terminal state.
 func (s *Store) Active() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, r := range s.List() {
-		if !r.State.Terminal() {
+	for _, e := range s.entries {
+		e.mu.Lock()
+		if !e.run.State.Terminal() {
 			n++
 		}
+		e.mu.Unlock()
 	}
 	return n
 }

@@ -256,9 +256,33 @@ func TestGetListNotFound(t *testing.T) {
 	if len(runs) != 2 {
 		t.Fatalf("List = %d entries, want 2", len(runs))
 	}
-	if runs[0].Kind != "fleet" || runs[1].Kind != "run" {
-		// IDs sort f-* before r-*.
+	if runs[0].Kind != "run" || runs[1].Kind != "fleet" {
+		// Oldest first: submission order, whatever the kind prefix.
 		t.Fatalf("List order/kinds wrong: %+v", runs)
+	}
+}
+
+// TestListOldestFirstPastSixDigitIDs: IDs outgrow their six-digit
+// padding at the millionth submission, where r-1000000 sorts before
+// r-999999 as a string; List must still return submission order.
+func TestListOldestFirstPastSixDigitIDs(t *testing.T) {
+	s := New(1)
+	s.seq = 999_998
+	var want []string
+	for range 3 {
+		r, err := s.Submit("run", func(ctx context.Context, h Handle) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait(t, s, r.ID)
+		want = append(want, r.ID)
+	}
+	var got []string
+	for _, r := range s.List() {
+		got = append(got, r.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("List = %v, want submission order %v", got, want)
 	}
 }
 
@@ -355,5 +379,37 @@ func TestConcurrentSubmitGetCancel(t *testing.T) {
 		if !r.State.Terminal() {
 			t.Fatalf("run %s left in %s after drain", r.ID, r.State)
 		}
+	}
+}
+
+// TestActiveDuringConcurrentSubmissions: Active reads every entry's
+// state under the store lock while runs are submitted, execute and
+// finish around it, and counts none once the store has drained.
+func TestActiveDuringConcurrentSubmissions(t *testing.T) {
+	s := New(4)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 8; j++ {
+				if _, err := s.Submit("run", func(ctx context.Context, h Handle) (any, error) { return nil, nil }); err != nil {
+					t.Error(err)
+					return
+				}
+				if n := s.Active(); n < 0 || n > 64 {
+					t.Errorf("Active = %d with at most 64 runs submitted", n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Active(); n != 0 {
+		t.Fatalf("Active = %d after drain, want 0", n)
 	}
 }

@@ -5,11 +5,14 @@
 // merges the shard states they return, exactly and in device order — so
 // the final Summary JSON is byte-identical to a single-process fleet.Run
 // regardless of the process count or which workers crashed along the
-// way.
+// way. Run is every program's fleet entry point: with no worker
+// processes (Options.Procs ≤ 0) it is fleet.Run in this process, so a
+// caller picks the execution shape with one number and never branches.
 //
-// Robustness is the point of the package: each shard gets a per-attempt
-// deadline and capped-backoff retries; a worker that exits nonzero,
-// gets SIGKILLed, hangs, or emits a truncated or corrupt frame is
+// Robustness is the point of the package: each shard gets
+// capped-backoff retries and, when Options.WorkerTimeout is set, a
+// per-attempt deadline; a worker that exits nonzero, gets SIGKILLed,
+// hangs past that deadline, or emits a truncated or corrupt frame is
 // detected and its shard re-run; a shard that keeps failing is
 // quarantined after a bounded number of attempts and the run returns a
 // partial result with joined errors, mirroring fleet.Run's contract. An

@@ -8,13 +8,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/sim"
 )
 
 // Supervisor constants. Simulation shards are deterministic, so a
@@ -36,16 +36,20 @@ const (
 	maxRetryBackoff = 5 * time.Second
 )
 
-// Options tune a supervised multi-process fleet run.
+// Options tune a fleet run. Workers, Progress, Snapshot and
+// SnapshotEvery apply in either execution shape, and RunProgress only in
+// process; every other field configures the worker processes and is
+// ignored without them.
 type Options struct {
-	// Procs bounds concurrently running worker processes; ≤ 0 means
-	// GOMAXPROCS (and never more than the shard count).
+	// Procs bounds concurrently running worker processes (never more
+	// than the shard count); ≤ 0 runs the fleet in this process with
+	// fleet.Run.
 	Procs int
 	// ShardSize is the device range per worker process; ≤ 0 means
 	// DefaultShardSize. A resumed run must use the checkpoint's value.
 	ShardSize int
-	// Workers bounds each worker's in-process sim pool; ≤ 0 lets the
-	// worker use its GOMAXPROCS.
+	// Workers bounds the sim pool, each worker process's or this
+	// process's; ≤ 0 means that process's GOMAXPROCS.
 	Workers int
 	// WorkerTimeout is the per-attempt deadline; a worker still running
 	// when it expires is killed and the attempt counts as failed. ≤ 0
@@ -53,7 +57,8 @@ type Options struct {
 	WorkerTimeout time.Duration
 	// Checkpoint, when non-empty, is the path of the append-only
 	// checkpoint log. An interrupted run restarted with Resume re-runs
-	// only the shards the log is missing.
+	// only the shards the log is missing. Only worker processes write
+	// one: Run refuses a Checkpoint when Procs ≤ 0.
 	Checkpoint string
 	// Resume loads an existing checkpoint at Checkpoint instead of
 	// truncating it. The log's spec hash, device count, and shard size
@@ -66,10 +71,15 @@ type Options struct {
 	// WorkerEnv entries are appended to the parent environment for each
 	// worker.
 	WorkerEnv []string
-	// Progress, when non-nil, is called after each shard merge with
-	// devices merged so far and the fleet size. Calls arrive in merge
-	// (device) order from the supervisor goroutine.
+	// Progress, when non-nil, is called after each shard merge (in
+	// process: each device fold) with devices merged so far and the
+	// fleet size. Calls arrive in device order from one goroutine.
 	Progress func(done, total int)
+	// RunProgress, when non-nil, receives each simulation run's
+	// completion, as fleet.Options.RunProgress describes. Only an
+	// in-process run reports runs: worker processes do not stream them
+	// back.
+	RunProgress func(sim.Progress)
 	// Snapshot, when non-nil, receives a Summary of the merged prefix
 	// after each merge that crosses a multiple of SnapshotEvery devices,
 	// and always after the final merge.
@@ -94,7 +104,8 @@ type ShardEvent struct {
 	Err string
 }
 
-// Result is a finished (or partially finished) supervised run.
+// Result is a finished (or partially finished) fleet run. An
+// in-process run leaves every shard counter at zero.
 type Result struct {
 	Spec fleet.Spec
 	// Agg holds the merged aggregate: the whole fleet on success, the
@@ -130,7 +141,9 @@ type shardResult struct {
 // shard states in device order. The merge is exact, so the Summary of
 // the returned aggregate is byte-identical to a single-process
 // fleet.Run of the same spec — regardless of Procs, ShardSize, worker
-// crashes, retries, or a checkpoint resume in the middle.
+// crashes, retries, or a checkpoint resume in the middle. With
+// Procs ≤ 0 Run is fleet.Run: it returns fleet.Run's result and error
+// untouched, with every shard counter at zero.
 //
 // Error contract (mirroring fleet.Run): a quarantined shard or a
 // cancelled context returns the partial *Result alongside the error —
@@ -140,6 +153,9 @@ type shardResult struct {
 // identifies a caller abort rather than a shard failure. Only a spec or
 // options failure returns a nil Result.
 func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
+	if opts.Procs <= 0 {
+		return runInProcess(ctx, spec, opts)
+	}
 	start := time.Now()
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -163,13 +179,7 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	}
 
 	shards := (spec.Devices + shardSize - 1) / shardSize
-	procs := opts.Procs
-	if procs <= 0 {
-		procs = runtime.GOMAXPROCS(0)
-	}
-	if procs > shards {
-		procs = shards
-	}
+	procs := min(opts.Procs, shards)
 
 	var onShardMu sync.Mutex
 	emit := func(ev ShardEvent) {
@@ -329,6 +339,25 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	default:
 		return res, nil
 	}
+}
+
+// runInProcess is Run without worker processes: fleet.Run on this
+// process's sim pool.
+func runInProcess(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
+	if opts.Checkpoint != "" {
+		return nil, errors.New("shardexec: a checkpoint needs worker processes (Procs > 0)")
+	}
+	r, err := fleet.Run(ctx, spec, fleet.Options{
+		Workers:       opts.Workers,
+		Progress:      opts.Progress,
+		RunProgress:   opts.RunProgress,
+		Snapshot:      opts.Snapshot,
+		SnapshotEvery: opts.SnapshotEvery,
+	})
+	if r == nil {
+		return nil, err
+	}
+	return &Result{Spec: r.Spec, Agg: r.Agg, Wall: r.Wall}, err
 }
 
 // openOrCreate resolves the checkpoint file: load-and-validate when

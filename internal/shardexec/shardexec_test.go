@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/fleet"
+	"repro/internal/sim"
 )
 
 // The supervisor tests need real worker processes to kill, hang, and
@@ -134,6 +136,7 @@ func testOptions(t *testing.T, faults map[string]fault) Options {
 		env = append(env, "SHARDEXEC_FAULTS=")
 	}
 	return Options{
+		Procs:      2,
 		WorkerArgv: []string{os.Args[0]},
 		WorkerEnv:  env,
 	}
@@ -369,5 +372,108 @@ func TestRunCancellationClassified(t *testing.T) {
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	if res, err := Run(context.Background(), fleet.Spec{}, testOptions(t, nil)); err == nil || res != nil {
 		t.Fatalf("invalid spec returned (%v, %v), want (nil, error)", res, err)
+	}
+}
+
+// TestRunInProcessMatchesFleetRun: with Procs 0, Run is fleet.Run in
+// this process with every shard counter at zero — the same Summary
+// bytes, the same Progress and Snapshot calls, every run reported to
+// RunProgress, and on cancellation the same partial aggregate and
+// error. A checkpoint, which only worker processes write, is refused.
+func TestRunInProcessMatchesFleetRun(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		devices    int
+		cancelAt   int // Progress cancels the run at this many devices; 0 never
+		checkpoint bool
+	}{
+		{name: "clean", devices: 20},
+		// fleet.Run folds fleet.DefaultShardSize devices per batch, so a
+		// cancel in the first batch's last fold keeps exactly that batch.
+		{name: "cancelled", devices: fleet.DefaultShardSize + 8, cancelAt: fleet.DefaultShardSize},
+		{name: "checkpoint refused", devices: 20, checkpoint: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec(true)
+			spec.Devices = tc.devices
+			// observers logs every Progress and Snapshot call and counts
+			// RunProgress calls, whose order is completion order.
+			observers := func(calls *[]string, runs *int, cancel context.CancelFunc) fleet.Options {
+				return fleet.Options{
+					Workers:       2,
+					SnapshotEvery: 7,
+					Progress: func(done, total int) {
+						*calls = append(*calls, fmt.Sprintf("progress %d/%d", done, total))
+						if done == tc.cancelAt {
+							cancel()
+						}
+					},
+					RunProgress: func(sim.Progress) { *runs++ },
+					Snapshot: func(done, total int, s fleet.Summary) {
+						blob, err := json.Marshal(s)
+						if err != nil {
+							t.Error(err)
+						}
+						*calls = append(*calls, fmt.Sprintf("snapshot %d/%d %s", done, total, blob))
+					},
+				}
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var wantCalls []string
+			var wantRuns int
+			want, wantErr := fleet.Run(ctx, spec, observers(&wantCalls, &wantRuns, cancel))
+
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			var gotCalls []string
+			var gotRuns int
+			fo := observers(&gotCalls, &gotRuns, cancel)
+			opts := Options{Workers: fo.Workers, SnapshotEvery: fo.SnapshotEvery,
+				Progress: fo.Progress, RunProgress: fo.RunProgress, Snapshot: fo.Snapshot}
+			if tc.checkpoint {
+				opts.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
+			}
+			res, err := Run(ctx, spec, opts)
+
+			if tc.checkpoint {
+				if res != nil || err == nil {
+					t.Fatalf("checkpoint without worker processes returned (%v, %v), want (nil, error)", res, err)
+				}
+				if len(gotCalls) > 0 || gotRuns > 0 {
+					t.Fatalf("refused run still simulated: %d calls, %d runs", len(gotCalls), gotRuns)
+				}
+				return
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("error %v, want fleet.Run's %v", err, wantErr)
+			}
+			if tc.cancelAt > 0 && !errors.Is(err, context.Canceled) {
+				t.Fatalf("errors.Is(err, context.Canceled) = false for %v", err)
+			}
+			if res == nil || res.Agg == nil {
+				t.Fatal("no result")
+			}
+			if n := res.Agg.Devices(); tc.cancelAt > 0 && n != tc.cancelAt {
+				t.Fatalf("partial aggregate holds %d devices, want %d", n, tc.cancelAt)
+			}
+			if res.Shards != 0 || res.Completed != 0 || res.Resumed != 0 || res.Attempts != 0 || res.Retries != 0 || res.Quarantined != nil {
+				t.Fatalf("in-process run reports shard counters: %+v", res)
+			}
+			wantJSON, err := json.Marshal(want.Agg.Summary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultSummary(t, res); !bytes.Equal(got, wantJSON) {
+				t.Fatalf("summary diverged from fleet.Run:\n got %s\nwant %s", got, wantJSON)
+			}
+			if strings.Join(gotCalls, "\n") != strings.Join(wantCalls, "\n") {
+				t.Fatalf("Progress/Snapshot calls diverged from fleet.Run's:\n got %.400q\nwant %.400q", gotCalls, wantCalls)
+			}
+			if tc.cancelAt == 0 && (gotRuns != 2*spec.Devices || wantRuns != gotRuns) {
+				t.Fatalf("RunProgress saw %d runs (fleet.Run %d), want %d", gotRuns, wantRuns, 2*spec.Devices)
+			}
+		})
 	}
 }

@@ -240,6 +240,10 @@ func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
 	return env, nil
 }
 
+// screenSessionDur is how long one screen-on session keeps the screen
+// lit.
+const screenSessionDur = 30 * simclock.Second
+
 // scheduleScreenSessions starts the Poisson screen-on process (RNG
 // stream cfg.Seed+3). Screen-on periods end connected standby
 // momentarily: the device is awake, so due non-wakeup alarms flush.
@@ -248,15 +252,11 @@ func (e *runEnv) scheduleScreenSessions(horizon simclock.Duration) {
 	if rate <= 0 {
 		return
 	}
-	dur := e.cfg.ScreenSessionDur
-	if dur <= 0 {
-		dur = 30 * simclock.Second
-	}
 	p := &wakeProcess{
 		env: e, rng: simclock.Rand(e.cfg.Seed + 3), horizon: simclock.Time(horizon),
 		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale,
 		scale: func(ph apps.Phase) float64 { return ph.ScreenScale },
-		tag:   "screen-session", set: hw.MakeSet(hw.Screen), dur: dur,
+		tag:   "screen-session", set: hw.MakeSet(hw.Screen), dur: screenSessionDur,
 	}
 	p.start()
 }

@@ -71,13 +71,10 @@ type Config struct {
 	// modelling varying network conditions. Must lie in [0, 1).
 	TaskJitter float64
 	// ScreenSessionsPerHour models the user turning the screen on
-	// (Poisson arrivals); each session keeps the screen lit for
-	// ScreenSessionDur. Screen-on periods end connected standby
-	// momentarily: the device is awake, so due non-wakeup alarms flush.
+	// (Poisson arrivals); each session keeps the screen lit for 30 s.
+	// Screen-on periods end connected standby momentarily: the device
+	// is awake, so due non-wakeup alarms flush.
 	ScreenSessionsPerHour float64
-	// ScreenSessionDur is the length of one screen-on session (default
-	// 30 s when sessions are enabled).
-	ScreenSessionDur simclock.Duration
 	// ZeroWakeLatency removes the stochastic resume latency (ablation:
 	// the paper attributes NATIVE's 0.4–0.6% imperceptible delay to it).
 	ZeroWakeLatency bool
@@ -175,8 +172,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("sim: negative push rate")
 	case c.ScreenSessionsPerHour < 0:
 		return fmt.Errorf("sim: negative screen-session rate")
-	case c.ScreenSessionDur < 0:
-		return fmt.Errorf("sim: negative screen-session duration %v", c.ScreenSessionDur)
 	case c.TaskJitter < 0 || c.TaskJitter >= 1:
 		return fmt.Errorf("sim: task jitter %v outside [0,1)", c.TaskJitter)
 	case c.NoTrace && c.CollectTrace:

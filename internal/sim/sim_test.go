@@ -23,7 +23,6 @@ func TestConfigValidation(t *testing.T) {
 		{Workload: apps.LightWorkload(), Duration: -1},
 		{Workload: apps.LightWorkload(), Beta: -0.5},
 		{Workload: apps.LightWorkload(), OneShots: -1},
-		{Workload: apps.LightWorkload(), ScreenSessionDur: -simclock.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -32,12 +31,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Workload: apps.LightWorkload(), Policy: "BOGUS"}); err == nil {
 		t.Error("unknown policy accepted")
-	}
-	// A negative screen-session duration must be rejected like the rate
-	// fields, not silently replaced by the 30 s default — and the shared
-	// environment builder must reject it on the run-to-empty path too.
-	if _, err := RunToEmpty(Config{Workload: apps.LightWorkload(), ScreenSessionDur: -simclock.Second}); err == nil {
-		t.Error("RunToEmpty accepted a negative screen-session duration")
 	}
 }
 

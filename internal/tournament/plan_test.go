@@ -23,11 +23,11 @@ func perEntrantOracle(t *testing.T, spec Spec) []byte {
 	for _, reg := range spec.Regimes {
 		rr := RegimeResult{Regime: reg.Name, Hours: fleet.Spec{Hours: reg.Hours}.WithDefaults().Hours}
 		for i, policy := range spec.Policies {
-			agg, err := runFleet(context.Background(), spec.fleetSpec(reg, []string{spec.Base, policy}), Options{Workers: 1})
+			r, err := fleet.Run(context.Background(), spec.fleetSpec(reg, []string{spec.Base, policy}), fleet.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("oracle: regime %q, policy %s: %v", reg.Name, policy, err)
 			}
-			s := agg.Summary()
+			s := r.Agg.Summary()
 			if i == 0 {
 				rr.Cells = append(rr.Cells, makeCell(spec.Base, s.Base))
 			}

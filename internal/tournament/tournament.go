@@ -278,11 +278,15 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 	for _, reg := range spec.Regimes {
 		rr := RegimeResult{Regime: reg.Name}
 		for _, pair := range spec.pairs() {
-			agg, err := runFleet(ctx, spec.fleetSpec(reg, pair), opts)
+			r, err := shardexec.Run(ctx, spec.fleetSpec(reg, pair), shardexec.Options{
+				Procs:     opts.Procs,
+				ShardSize: opts.ShardSize,
+				Workers:   opts.Workers,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("tournament: regime %q, policies %v: %w", reg.Name, pair, err)
 			}
-			s := agg.Summary()
+			s := r.Agg.Summary()
 			rr.Hours = s.Hours
 			for k, side := range []fleet.PolicySummary{s.Base, s.Test}[:len(pair)] {
 				rr.Cells = append(rr.Cells, makeCell(pair[k], side))
@@ -297,27 +301,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 	}
 	sb.Standings = standings(sb.Regimes)
 	return sb, nil
-}
-
-// runFleet executes one pair's fleet, in-process or sharded across
-// worker processes; the aggregate is byte-identical either way.
-func runFleet(ctx context.Context, fs fleet.Spec, opts Options) (*fleet.Aggregate, error) {
-	if opts.Procs > 0 {
-		r, err := shardexec.Run(ctx, fs, shardexec.Options{
-			Procs:     opts.Procs,
-			ShardSize: opts.ShardSize,
-			Workers:   opts.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return r.Agg, nil
-	}
-	r, err := fleet.Run(ctx, fs, fleet.Options{Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return r.Agg, nil
 }
 
 func makeCell(policy string, s fleet.PolicySummary) Cell {
