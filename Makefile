@@ -62,7 +62,7 @@ FUZZTIME ?= 10s
 HAMMERTESTS = RunAll RunTrials CompareTrials Sweep GoldenRecordParity \
 	Fleet Concurrent Drain SSE Daemon PooledMatchesUnpooled NoTraceParity \
 	Backend Herd Readyz Heartbeat Shard Checkpoint Manifest MultiProcess \
-	Scoreboard Tournament PerceptibleGuarantee
+	Scoreboard Tournament PerceptibleGuarantee RecycledRunMatchesFresh
 HAMMERPKGS = ./internal/simclock/ ./internal/sim/ ./internal/fleet/ \
 	./internal/runstore/ ./internal/httpapi/ ./internal/backend/ \
 	./internal/shardexec/ ./internal/tournament/ ./cmd/wakesimd/ \

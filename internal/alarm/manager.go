@@ -90,23 +90,44 @@ type Manager struct {
 	// due is deliverDue's reusable buffer of popped entries.
 	due []*Entry
 
-	// The manager's timer and wake callbacks, bound once in NewManager:
-	// scheduling a method value would allocate a closure per call.
-	onWakeTimerFn, onNonWakeTimerFn, deliverDueFn func()
+	// The manager's timer and wake callbacks, bound on the first Reset:
+	// scheduling or subscribing a method value would allocate a closure
+	// per call.
+	onWakeTimerFn, onNonWakeTimerFn, deliverDueFn, flushNonWakeupFn func()
 }
 
 // NewManager creates a manager driving deliveries through host using the
 // given alignment policy.
 func NewManager(clock *simclock.Clock, host Host, policy Policy) *Manager {
-	if clock == nil || host == nil || policy == nil {
-		panic("alarm: NewManager with nil dependency")
-	}
-	m := &Manager{clock: clock, host: host, policy: policy, realign: true}
-	m.onWakeTimerFn = m.onWakeTimer
-	m.onNonWakeTimerFn = m.onNonWakeTimer
-	m.deliverDueFn = m.deliverDue
-	host.OnWake(m.flushNonWakeup)
+	m := new(Manager)
+	m.Reset(clock, host, policy)
 	return m
+}
+
+// Reset returns the manager to NewManager's state on clock, host and
+// policy: both queues empty, realignment on, no record sink, entry
+// numbering from the start. The queues' pools, entry arrays and ID maps
+// and the due buffer keep their capacity, so a manager reused across
+// simulations skips their warm-up. Alarms still queued are dropped.
+func (m *Manager) Reset(clock *simclock.Clock, host Host, policy Policy) {
+	if clock == nil || host == nil || policy == nil {
+		panic("alarm: Reset with nil dependency")
+	}
+	m.clock, m.host, m.policy = clock, host, policy
+	m.wakeQ.Reset()
+	m.nonwakeQ.Reset()
+	m.realign = true
+	m.wakeTimer, m.nonwakeTimer = simclock.Timer{}, simclock.Timer{}
+	m.onRecord = nil
+	m.delivering = false
+	m.entrySeq = 0
+	if m.onWakeTimerFn == nil {
+		m.onWakeTimerFn = m.onWakeTimer
+		m.onNonWakeTimerFn = m.onNonWakeTimer
+		m.deliverDueFn = m.deliverDue
+		m.flushNonWakeupFn = m.flushNonWakeup
+	}
+	host.OnWake(m.flushNonWakeupFn)
 }
 
 // SetRealign toggles realignment-on-reinsert (ablation 3 in DESIGN.md).

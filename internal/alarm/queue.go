@@ -161,6 +161,19 @@ type Queue struct {
 	free freelist.List[Entry]
 }
 
+// Reset empties the queue. Its entries go to the pool, member capacity
+// included, and the entry array and ID map keep theirs; the alarms the
+// entries held are dropped.
+func (q *Queue) Reset() {
+	for _, e := range q.entries {
+		q.recycle(e)
+	}
+	clear(q.entries)
+	q.entries = q.entries[:0]
+	clear(q.byID)
+	q.count = 0
+}
+
 // Entries exposes the entries in queue order. Callers must not mutate.
 func (q *Queue) Entries() []*Entry { return q.entries }
 

@@ -140,7 +140,8 @@ type FaultInjector interface {
 
 // Runtime installs application specs on a device + alarm manager pair,
 // turning each Spec into a live alarm whose delivery callback runs the
-// app's task on the device and reveals its hardware set.
+// app's task on the device and reveals its hardware set. Clock, Dev and
+// Mgr are required.
 type Runtime struct {
 	Clock *simclock.Clock
 	Dev   *device.Device
@@ -149,7 +150,8 @@ type Runtime struct {
 	// [window, period) (§3.1.2). The paper's experiments use 0.96.
 	Beta float64
 	// Rng staggers app registration phases, as real apps start at
-	// arbitrary times.
+	// arbitrary times. A nil Rng makes phases deterministic (every alarm
+	// registers with nominal = now + period).
 	Rng *rand.Rand
 	// AlignedPhases installs every app at the deterministic phase
 	// offset = its period instead of a random stagger, so devices
@@ -166,15 +168,6 @@ type Runtime struct {
 	// behaviour (see FaultInjector). Applied after Jitter, so a leak's
 	// infinite hold is never re-randomized away.
 	Faults FaultInjector
-}
-
-// NewRuntime wires a runtime. A nil rng makes phases deterministic
-// (every alarm registers with nominal = now + period).
-func NewRuntime(clock *simclock.Clock, dev *device.Device, mgr *alarm.Manager, beta float64, rng *rand.Rand) *Runtime {
-	if clock == nil || dev == nil || mgr == nil {
-		panic("apps: NewRuntime with nil dependency")
-	}
-	return &Runtime{Clock: clock, Dev: dev, Mgr: mgr, Beta: beta, Rng: rng}
 }
 
 // Build converts a Spec to an Alarm registered to fire first at the

@@ -87,7 +87,7 @@ func newRuntime(t *testing.T, beta float64) (*simclock.Clock, *Runtime, *[]alarm
 	m := alarm.NewManager(c, d, alarm.Native{})
 	recs := &[]alarm.Record{}
 	m.SetRecordFunc(func(r alarm.Record) { *recs = append(*recs, r) })
-	return c, NewRuntime(c, d, m, beta, nil), recs
+	return c, &Runtime{Clock: c, Dev: d, Mgr: m, Beta: beta}, recs
 }
 
 func TestBuildIntervals(t *testing.T) {
@@ -156,7 +156,7 @@ func TestInstallStaggeredPhases(t *testing.T) {
 	p := power.Nexus5()
 	d := device.New(c, p, 1)
 	m := alarm.NewManager(c, d, alarm.NoAlign{})
-	r := NewRuntime(c, d, m, 0.96, simclock.Rand(42))
+	r := &Runtime{Clock: c, Dev: d, Mgr: m, Beta: 0.96, Rng: simclock.Rand(42)}
 	if err := r.Install(LightWorkload()); err != nil {
 		t.Fatal(err)
 	}

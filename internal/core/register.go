@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"repro/internal/alarm"
 	"repro/internal/apps"
 	"repro/internal/simclock"
@@ -22,7 +24,9 @@ func JitterPhase(seed int64, spread simclock.Duration) simclock.Duration {
 	if spread <= 0 {
 		return 0
 	}
-	return simclock.Duration(simclock.Rand(seed + 7).Int63n(int64(spread)))
+	var phase simclock.Duration
+	simclock.Draw(seed+7, func(r *rand.Rand) { phase = simclock.Duration(r.Int63n(int64(spread))) })
+	return phase
 }
 
 // The SIMTY family registers at package load; internal/sim imports this

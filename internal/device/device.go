@@ -29,8 +29,8 @@ const (
 type Device struct {
 	clock   *simclock.Clock
 	profile *power.Profile
-	acct    *power.Accountant
-	wl      *hw.WakelockManager
+	acct    power.Accountant
+	wl      hw.WakelockManager
 	rng     *rand.Rand
 
 	st      state
@@ -48,8 +48,9 @@ type Device struct {
 	sleepTimer  simclock.Timer
 
 	// freeTasks recycles task objects whose end event has fired, and
-	// finishWakeFn/dozeFn are the device's own timer callbacks, bound once
-	// in New: scheduling a method value would allocate a closure per call.
+	// finishWakeFn/dozeFn are the device's own timer callbacks, bound on
+	// the first Reset: scheduling a method value would allocate a closure
+	// per call.
 	freeTasks    freelist.List[task]
 	finishWakeFn func()
 	dozeFn       func()
@@ -76,20 +77,39 @@ type Device struct {
 // New creates a sleeping device with the given power profile. The seed
 // drives the stochastic wake latency.
 func New(clock *simclock.Clock, profile *power.Profile, seed int64) *Device {
-	if clock == nil || profile == nil {
-		panic("device: New with nil clock or profile")
-	}
-	d := &Device{
-		clock:   clock,
-		profile: profile,
-		acct:    power.NewAccountant(clock, profile),
-		wl:      hw.NewWakelockManager(),
-		rng:     simclock.Rand(seed),
-	}
-	d.finishWakeFn = d.finishWake
-	d.dozeFn = d.doze
-	d.wl.Subscribe(d.acct)
+	d := new(Device)
+	d.Reset(clock, profile, seed)
 	return d
+}
+
+// Reset returns the device to New's state — asleep, session 0, no task,
+// subscriber or handler, a fresh accountant — on clock, profile and seed.
+// It keeps the task pool, the wake lists' arrays, the wake-latency
+// source (reseeded) and the bound callbacks, so a device reused across
+// simulations skips their warm-up. Tasks still in flight are abandoned
+// along with their events: reset the clock too.
+func (d *Device) Reset(clock *simclock.Clock, profile *power.Profile, seed int64) {
+	if clock == nil || profile == nil {
+		panic("device: Reset with nil clock or profile")
+	}
+	d.clock, d.profile = clock, profile
+	d.acct.Reset(clock, profile)
+	d.wl.Reset()
+	d.wl.Subscribe(&d.acct)
+	d.rng = simclock.Reseed(d.rng, seed)
+	d.st, d.session = asleep, 0
+	clear(d.onWake)
+	d.onWake = d.onWake[:0]
+	clear(d.pending)
+	d.pending = d.pending[:0]
+	d.nextFree = [hw.NumComponents]simclock.Time{}
+	d.tasksActive = 0
+	d.sleepTimer = simclock.Timer{}
+	d.debounce, d.lastWake = 0, 0
+	d.onTask, d.violation = nil, nil
+	if d.finishWakeFn == nil {
+		d.finishWakeFn, d.dozeFn = d.finishWake, d.doze
+	}
 }
 
 // task is one RunTask call's pair of clock events: acquire at the start,
@@ -138,10 +158,10 @@ func (d *Device) newTask(tag string, set hw.Set) *task {
 }
 
 // Accountant exposes the device's energy accountant.
-func (d *Device) Accountant() *power.Accountant { return d.acct }
+func (d *Device) Accountant() *power.Accountant { return &d.acct }
 
 // Wakelocks exposes the device's wakelock manager (for trace hooks).
-func (d *Device) Wakelocks() *hw.WakelockManager { return d.wl }
+func (d *Device) Wakelocks() *hw.WakelockManager { return &d.wl }
 
 // Awake implements alarm.Host: true once the wake transition completed.
 func (d *Device) Awake() bool { return d.st == awake }

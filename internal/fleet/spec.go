@@ -310,7 +310,14 @@ func mix(seed int64, i int) int64 {
 // scale, then the leak decision.
 func (s Spec) SampleDevice(i int) Device {
 	s = s.WithDefaults()
-	rng := simclock.Rand(mix(s.Seed, i))
+	var d Device
+	simclock.Draw(mix(s.Seed, i), func(rng *rand.Rand) { d = s.sampleDevice(i, rng) })
+	return d
+}
+
+// sampleDevice is SampleDevice's draw sequence on a source seeded to
+// mix(s.Seed, i).
+func (s Spec) sampleDevice(i int, rng *rand.Rand) Device {
 	d := Device{Index: i, Seed: mix(^s.Seed, i)}
 
 	catalog, err := catalogFor(s.Catalog)

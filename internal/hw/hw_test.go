@@ -92,7 +92,7 @@ func TestComponentString(t *testing.T) {
 }
 
 func TestWakelockRefcounting(t *testing.T) {
-	m := NewWakelockManager()
+	m := new(WakelockManager)
 	var ons, offs []Component
 	m.Subscribe(listenerFuncs{
 		on:  func(c Component) { ons = append(ons, c) },
@@ -121,7 +121,7 @@ func TestWakelockRefcounting(t *testing.T) {
 }
 
 func TestWakelockHeldSet(t *testing.T) {
-	m := NewWakelockManager()
+	m := new(WakelockManager)
 	m.Acquire(MakeSet(WiFi, Vibrator))
 	for c := Component(0); c < numComponents; c++ {
 		if held, want := m.Holders(c) > 0, c == WiFi || c == Vibrator; held != want {
@@ -135,7 +135,7 @@ func TestWakelockHeldSet(t *testing.T) {
 }
 
 func TestWakelockOverReleasePanics(t *testing.T) {
-	m := NewWakelockManager()
+	m := new(WakelockManager)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-release did not panic")
@@ -145,7 +145,7 @@ func TestWakelockOverReleasePanics(t *testing.T) {
 }
 
 func TestSubscribeNilPanics(t *testing.T) {
-	m := NewWakelockManager()
+	m := new(WakelockManager)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nil subscribe did not panic")
@@ -192,7 +192,7 @@ func TestPropertySetAlgebra(t *testing.T) {
 func TestPropertyWakelockBalance(t *testing.T) {
 	universe := Set(1<<uint(NumComponents)) - 1
 	prop := func(masks []uint16) bool {
-		m := NewWakelockManager()
+		m := new(WakelockManager)
 		var held []Set
 		for _, raw := range masks {
 			s := Set(raw) & universe

@@ -36,8 +36,16 @@ func (m *WakelockManager) SetViolationHandler(fn func(c Component, detail string
 	m.violation = fn
 }
 
-// NewWakelockManager returns an empty manager.
-func NewWakelockManager() *WakelockManager { return &WakelockManager{} }
+// Reset releases every wakelock without notifying anyone and drops the
+// listeners and the violation handler, returning the manager to its zero
+// state while keeping the listener array for reuse. The zero
+// WakelockManager is empty and ready to use.
+func (m *WakelockManager) Reset() {
+	m.counts = [NumComponents]int{}
+	clear(m.listeners)
+	m.listeners = m.listeners[:0]
+	m.violation = nil
+}
 
 // Subscribe registers a listener for subsequent transitions.
 func (m *WakelockManager) Subscribe(l TransitionListener) {

@@ -33,6 +33,8 @@ type AoIStats struct {
 // delivery order, which the simulator guarantees.
 type AoIAcc struct {
 	last map[string]appAge
+	// names is Stats' buffer of sorted app names.
+	names []string
 }
 
 type appAge struct {
@@ -42,7 +44,20 @@ type appAge struct {
 }
 
 // NewAoIAcc returns an empty accumulator.
-func NewAoIAcc() *AoIAcc { return &AoIAcc{last: map[string]appAge{}} }
+func NewAoIAcc() *AoIAcc {
+	a := new(AoIAcc)
+	a.Reset()
+	return a
+}
+
+// Reset empties the accumulator, keeping its map's buckets for the next
+// run. The zero AoIAcc must be Reset before use.
+func (a *AoIAcc) Reset() {
+	if a.last == nil {
+		a.last = map[string]appAge{}
+	}
+	clear(a.last)
+}
 
 // Add folds one delivery into the accumulator. The closed sawtooth
 // segment contributes gap²/2 to the app's age integral (age ramps 0 →
@@ -79,11 +94,12 @@ func (a *AoIAcc) AgeAt(app string, t simclock.Time) float64 {
 // horizon and says nothing about the policy. Iteration is over sorted
 // app names so the result is deterministic.
 func (a *AoIAcc) Stats(end simclock.Time) AoIStats {
-	names := make([]string, 0, len(a.last))
+	names := a.names[:0]
 	for app := range a.last {
 		names = append(names, app)
 	}
 	sort.Strings(names)
+	a.names = names
 	var out AoIStats
 	horizon := end.Sub(simclock.Time(0)).Seconds()
 	if horizon <= 0 {

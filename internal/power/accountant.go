@@ -82,13 +82,17 @@ type Accountant struct {
 	b Breakdown
 }
 
-// NewAccountant returns an accountant integrating from the clock's
-// current time, with the device asleep.
-func NewAccountant(clock *simclock.Clock, profile *Profile) *Accountant {
+// Reset starts the accountant over: integrating from the clock's current
+// time, with the device asleep, every component off and the breakdown
+// zero. The zero Accountant must be Reset before use. A tail timer still
+// pending from earlier use is abandoned, not cancelled: reset the clock
+// too.
+func (a *Accountant) Reset(clock *simclock.Clock, profile *Profile) {
 	if clock == nil || profile == nil {
-		panic("power: NewAccountant with nil clock or profile")
+		panic("power: Reset with nil clock or profile")
 	}
-	return &Accountant{clock: clock, profile: profile, lastUpdate: clock.Now()}
+	// The tail callbacks stay bound: they close over a, not over the run.
+	*a = Accountant{clock: clock, profile: profile, lastUpdate: clock.Now(), tailFns: a.tailFns}
 }
 
 // advance integrates all time-proportional draws up to now.

@@ -14,7 +14,8 @@ func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSleepOnlyEnergy(t *testing.T) {
 	c := simclock.New()
-	a := NewAccountant(c, Nexus5())
+	a := new(Accountant)
+	a.Reset(c, Nexus5())
 	c.Run(simclock.Time(100 * simclock.Second))
 	b := a.Snapshot()
 	want := 25.0 * 100 // SleepMW * seconds
@@ -32,7 +33,8 @@ func TestSleepOnlyEnergy(t *testing.T) {
 func TestAwakeBaseline(t *testing.T) {
 	c := simclock.New()
 	p := Nexus5()
-	a := NewAccountant(c, p)
+	a := new(Accountant)
+	a.Reset(c, p)
 	c.Run(simclock.Time(10 * simclock.Second))
 	a.SetAwake(true)
 	c.Run(simclock.Time(30 * simclock.Second))
@@ -55,7 +57,8 @@ func TestAwakeBaseline(t *testing.T) {
 
 func TestSetAwakeIdempotent(t *testing.T) {
 	c := simclock.New()
-	a := NewAccountant(c, Nexus5())
+	a := new(Accountant)
+	a.Reset(c, Nexus5())
 	a.SetAwake(true)
 	a.SetAwake(true)
 	a.SetAwake(false)
@@ -69,7 +72,8 @@ func TestSetAwakeIdempotent(t *testing.T) {
 func TestComponentActivationAndActive(t *testing.T) {
 	c := simclock.New()
 	p := Nexus5()
-	a := NewAccountant(c, p)
+	a := new(Accountant)
+	a.Reset(c, p)
 	a.ComponentOn(hw.GPS) // GPS has no tail
 	c.Run(simclock.Time(4 * simclock.Second))
 	a.ComponentOff(hw.GPS)
@@ -84,7 +88,8 @@ func TestComponentActivationAndActive(t *testing.T) {
 func TestComponentTailExtendsPower(t *testing.T) {
 	c := simclock.New()
 	p := Nexus5()
-	a := NewAccountant(c, p)
+	a := new(Accountant)
+	a.Reset(c, p)
 	a.ComponentOn(hw.WiFi)
 	c.Run(simclock.Time(2 * simclock.Second))
 	a.ComponentOff(hw.WiFi)
@@ -100,7 +105,8 @@ func TestComponentTailExtendsPower(t *testing.T) {
 func TestReacquireDuringTailSkipsActivation(t *testing.T) {
 	c := simclock.New()
 	p := Nexus5()
-	a := NewAccountant(c, p)
+	a := new(Accountant)
+	a.Reset(c, p)
 	a.ComponentOn(hw.WiFi)
 	c.Run(simclock.Time(1 * simclock.Second))
 	a.ComponentOff(hw.WiFi)
@@ -121,7 +127,8 @@ func TestReacquireDuringTailSkipsActivation(t *testing.T) {
 func TestCurrentPower(t *testing.T) {
 	c := simclock.New()
 	p := Nexus5()
-	a := NewAccountant(c, p)
+	a := new(Accountant)
+	a.Reset(c, p)
 	if got := a.CurrentPowerMW(); got != p.SleepMW {
 		t.Fatalf("asleep power = %v", got)
 	}
@@ -148,7 +155,8 @@ func TestPerDeliveryCalibration(t *testing.T) {
 	deliver := func(set hw.Set, dur simclock.Duration) float64 {
 		c := simclock.New()
 		p := Nexus5()
-		a := NewAccountant(c, p)
+		a := new(Accountant)
+		a.Reset(c, p)
 		base := a.Snapshot().TotalMJ()
 		// Wake with mean latency, run task, hold, sleep.
 		a.SetAwake(true)
@@ -176,7 +184,8 @@ func TestPerDeliveryCalibration(t *testing.T) {
 func TestMonitorMatchesAccountant(t *testing.T) {
 	c := simclock.New()
 	p := Nexus5()
-	a := NewAccountant(c, p)
+	a := new(Accountant)
+	a.Reset(c, p)
 	m := NewMonitor(c, a, 100*simclock.Millisecond)
 	m.Start()
 	// Build a power signal whose transitions all land on 100 ms grid.
@@ -199,7 +208,8 @@ func TestMonitorMatchesAccountant(t *testing.T) {
 
 func TestMonitorStartStop(t *testing.T) {
 	c := simclock.New()
-	a := NewAccountant(c, Nexus5())
+	a := new(Accountant)
+	a.Reset(c, Nexus5())
 	m := NewMonitor(c, a, simclock.Second)
 	m.Start()
 	m.Start() // idempotent
@@ -218,7 +228,8 @@ func TestMonitorStartStop(t *testing.T) {
 
 func TestMonitorCSV(t *testing.T) {
 	c := simclock.New()
-	a := NewAccountant(c, Nexus5())
+	a := new(Accountant)
+	a.Reset(c, Nexus5())
 	m := NewMonitor(c, a, simclock.Second)
 	m.Start()
 	c.Run(simclock.Time(2 * simclock.Second))
@@ -234,7 +245,8 @@ func TestMonitorCSV(t *testing.T) {
 
 func TestMonitorBadPeriodPanics(t *testing.T) {
 	c := simclock.New()
-	a := NewAccountant(c, Nexus5())
+	a := new(Accountant)
+	a.Reset(c, Nexus5())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero period did not panic")
@@ -268,7 +280,8 @@ func TestBreakdownString(t *testing.T) {
 func TestPropertyEnergyMonotone(t *testing.T) {
 	prop := func(durations []uint8) bool {
 		c := simclock.New()
-		a := NewAccountant(c, Nexus5())
+		a := new(Accountant)
+		a.Reset(c, Nexus5())
 		awake := false
 		prev := 0.0
 		for _, d := range durations {
@@ -344,7 +357,8 @@ func TestPropertyMonitorMatchesAccountant(t *testing.T) {
 	prop := func(steps []uint8) bool {
 		c := simclock.New()
 		p := Nexus5()
-		a := NewAccountant(c, p)
+		a := new(Accountant)
+		a.Reset(c, p)
 		m := NewMonitor(c, a, 100*simclock.Millisecond)
 		at := simclock.Time(0)
 		activations := 0.0

@@ -36,8 +36,10 @@ type backendClient struct {
 
 	stats backend.DeviceStats
 
-	// freeRetries pools retry objects whose attempt has run.
+	// freeRetries pools retry objects whose attempt has run, and onWakeFn
+	// is onWake, bound once.
 	freeRetries freelist.List[retry]
+	onWakeFn    func()
 
 	// onAttempt, when set (tests), observes every attempt: the arrival
 	// instant after reconnect gating, the attempt index (0 = first), and
@@ -45,22 +47,25 @@ type backendClient struct {
 	onAttempt func(at simclock.Time, attempt int, shed bool)
 }
 
-// newBackendClient wires the client against the device. The caller must
-// subscribe onWake *before* the alarm manager is constructed, so that
-// reconnect state is armed before the manager's wake-flush deliveries
-// are observed.
-func newBackendClient(clock *simclock.Clock, dev *device.Device, m backend.Model, seed int64) *backendClient {
-	c := &backendClient{
-		model: m.WithDefaults(),
-		clock: clock,
-		dev:   dev,
-		recon: simclock.Rand(seed + 5),
-		shed:  simclock.Rand(seed + 6),
+// reset wires the client against the device for a new run, keeping its
+// retry pool and its two sources (reseeded). The stats, histogram
+// included, start over: the run's Result takes them. The caller must
+// reset the client *before* the alarm manager, so that its wake hook
+// arms reconnect state before the manager's wake-flush deliveries are
+// observed.
+func (c *backendClient) reset(clock *simclock.Clock, dev *device.Device, m backend.Model, seed int64) {
+	c.model = m.WithDefaults()
+	c.clock, c.dev = clock, dev
+	c.recon = simclock.Reseed(c.recon, seed+5)
+	c.shed = simclock.Reseed(c.shed, seed+6)
+	c.netReady = 0
+	c.stats = backend.DeviceStats{Hist: backend.NewHistogram(c.model.BucketWidth)}
+	c.onAttempt = nil
+	if c.onWakeFn == nil {
+		c.onWakeFn = c.onWake
 	}
-	c.stats.Hist = backend.NewHistogram(c.model.BucketWidth)
-	dev.OnWake(c.onWake)
+	dev.OnWake(c.onWakeFn)
 	dev.SetDebounce(c.model.Debounce)
-	return c
 }
 
 // onWake runs after every completed sleep→awake transition: the device

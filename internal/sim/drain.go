@@ -40,8 +40,18 @@ const maxDrainHorizon = 1000 * simclock.Duration(simclock.Hour)
 // itself — including the push and screen-session processes — continues
 // until the battery dies.
 func RunToEmpty(cfg Config) (*DrainResult, error) {
-	env, err := newRunEnv(cfg, maxDrainHorizon)
+	env := envPool.Get().(*runEnv)
+	res, err := env.drain(cfg)
 	if err != nil {
+		return nil, err
+	}
+	envPool.Put(env)
+	return res, nil
+}
+
+// drain rebuilds env for cfg and simulates it until the battery is empty.
+func (env *runEnv) drain(cfg Config) (*DrainResult, error) {
+	if err := env.reset(cfg, maxDrainHorizon); err != nil {
 		return nil, err
 	}
 

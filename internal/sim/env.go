@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/alarm"
 	"repro/internal/apps"
@@ -23,18 +24,27 @@ import (
 // this setup by hand and silently dropped PushesPerHour and
 // ScreenSessionsPerHour, measuring push-heavy standby times against the
 // wrong workload.
+//
+// An environment outlives its run: reset rebuilds it in place for the
+// next Config, and Run and RunToEmpty return it to envPool once the
+// result is out. The layers' pools, buffers, maps and RNG sources then
+// start the next run already grown. The zero runEnv goes through the same
+// reset, so a fresh and a recycled environment run the same code.
 type runEnv struct {
 	cfg     Config // defaults applied
 	pol     alarm.Policy
-	clock   *simclock.Clock
+	clock   simclock.Clock
 	profile *power.Profile
-	dev     *device.Device
-	mgr     *alarm.Manager
-	rt      *apps.Runtime
+	dev     device.Device
+	mgr     alarm.Manager
+	rt      apps.Runtime
 	logger  *trace.Logger
 	inj     *fault.Injector
 	recs    []alarm.Record
 	pushes  int
+
+	// zeroLat is the ZeroWakeLatency copy of the run's profile.
+	zeroLat power.Profile
 
 	// Every derived metric streams through these accumulators as records
 	// arrive — the same arithmetic whether or not the records themselves
@@ -43,16 +53,37 @@ type runEnv struct {
 	appNames  map[string]bool
 	delaysApp metrics.DelayAcc
 	delaysAll metrics.DelayAcc
-	wakeups   *metrics.WakeupAcc
-	spkvib    *metrics.SpkVibAcc
+	wakeups   metrics.WakeupAcc
+	spkvib    metrics.SpkVibAcc
 	guard     metrics.GuaranteeAcc
 	gaps      metrics.GapAcc
-	aoi       *metrics.AoIAcc
+	aoi       metrics.AoIAcc
+
+	// screenProc and pushProc are the external-wakeup processes; one
+	// whose rate is zero stays idle for the run.
+	screenProc, pushProc wakeProcess
 
 	// backend is the device-side half of the backend co-simulation (nil
-	// unless Config.Backend is set).
+	// unless Config.Backend is set); it points at client.
 	backend *backendClient
+	client  backendClient
+
+	// observeFn is observe, bound once.
+	observeFn func(alarm.Record)
 }
+
+// envPool holds the environments of finished runs for the next ones.
+// Nothing a Result owns comes from it, and a run that errors or panics
+// never returns its environment.
+var envPool = sync.Pool{New: func() any { return new(runEnv) }}
+
+// defaultProfile is the Nexus 5 profile a Config without one runs on, and
+// systemSpecs the population Config.SystemAlarms installs. Nothing writes
+// to either, so every run shares them.
+var (
+	defaultProfile = power.Nexus5()
+	systemSpecs    = apps.SystemSpecs()
+)
 
 // observe is the manager's record sink: it streams every derived metric
 // and, outside NoTrace mode, retains the record and mirrors it into the
@@ -94,28 +125,29 @@ func estimateDeliveries(cfg Config, horizon simclock.Duration) int {
 		add(s.Period)
 	}
 	if cfg.SystemAlarms {
-		for _, s := range apps.SystemSpecs() {
+		for _, s := range systemSpecs {
 			add(s.Period)
 		}
 	}
 	return n
 }
 
-// newRunEnv validates cfg and assembles the environment. horizon bounds
-// the external-wakeup Poisson processes: zero means the standby horizon
-// (Run), while RunToEmpty passes the drain cap so pushes and screen
-// sessions persist for as long as the discharge can possibly last.
-// One-shot alarms are always scheduled within cfg.Duration, matching
-// both entry points' documented semantics.
+// reset validates cfg and rebuilds the environment in place for it.
+// horizon bounds the external-wakeup Poisson processes: zero means the
+// standby horizon (Run), while RunToEmpty passes the drain cap so pushes
+// and screen sessions persist for as long as the discharge can possibly
+// last. One-shot alarms are always scheduled within cfg.Duration,
+// matching both entry points' documented semantics. After an error the
+// environment is half built and must be dropped.
 //
 // The construction order (trace hookup, workload, system alarms,
 // one-shots, screen sessions, pushes) is load-bearing: events scheduled
 // for the same instant fire in FIFO order of scheduling, and the golden
 // parity tests pin the resulting delivery stream byte for byte.
-func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
+func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	pol := cfg.Custom
 	if pol == nil {
@@ -126,41 +158,53 @@ func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
 		var err error
 		pol, err = alarm.PolicyByName(cfg.Policy, pctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if horizon == 0 {
 		horizon = cfg.Duration
 	}
 
-	env := &runEnv{cfg: cfg, pol: pol, clock: simclock.New()}
+	env.cfg, env.pol = cfg, pol
+	env.clock.Reset()
+	clock := &env.clock
 	env.profile = cfg.Profile
 	if env.profile == nil {
-		env.profile = power.Nexus5()
+		env.profile = defaultProfile
 	}
 	if cfg.ZeroWakeLatency {
-		p := *env.profile
-		p.WakeLatencyMin, p.WakeLatencyMax = 0, 0
-		env.profile = &p
+		env.zeroLat = *env.profile
+		env.zeroLat.WakeLatencyMin, env.zeroLat.WakeLatencyMax = 0, 0
+		env.profile = &env.zeroLat
 	}
-	env.dev = device.New(env.clock, env.profile, cfg.Seed)
+	env.dev.Reset(clock, env.profile, cfg.Seed)
+	env.backend = nil
 	if cfg.Backend != nil {
 		// The client subscribes its wake hook before the manager exists:
 		// reconnect state must be armed before the manager's wake-flush
 		// deliveries (its own OnWake subscription) are observed.
-		env.backend = newBackendClient(env.clock, env.dev, *cfg.Backend, cfg.Seed)
+		env.backend = &env.client
+		env.backend.reset(clock, &env.dev, *cfg.Backend, cfg.Seed)
 	}
-	env.mgr = alarm.NewManager(env.clock, env.dev, pol)
+	env.mgr.Reset(clock, &env.dev, pol)
 	env.mgr.SetRealign(!cfg.DisableRealign)
 
-	env.appNames = make(map[string]bool, len(cfg.Workload))
+	if env.appNames == nil {
+		env.appNames = make(map[string]bool, len(cfg.Workload))
+	}
+	clear(env.appNames)
 	for _, s := range cfg.Workload {
 		env.appNames[s.Name] = true
 	}
-	env.wakeups = metrics.NewWakeupAcc()
-	env.spkvib = metrics.NewSpkVibAcc()
-	env.aoi = metrics.NewAoIAcc()
+	env.delaysApp, env.delaysAll = metrics.DelayAcc{}, metrics.DelayAcc{}
+	env.wakeups, env.spkvib = metrics.WakeupAcc{}, metrics.SpkVibAcc{}
+	env.guard, env.gaps = metrics.GuaranteeAcc{}, metrics.GapAcc{}
+	env.aoi.Reset()
+	env.pushes = 0
 	deliveries := estimateDeliveries(cfg, horizon)
+	// The records and the trace belong to the Result, so each run makes
+	// its own.
+	env.recs, env.logger = nil, nil
 	if !cfg.NoTrace {
 		env.recs = make([]alarm.Record, 0, deliveries)
 	}
@@ -170,28 +214,34 @@ func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
 		// sessions add a similar burst each.
 		bursts := int(float64(horizon) / float64(simclock.Hour) *
 			(cfg.PushesPerHour + cfg.ScreenSessionsPerHour))
-		env.logger = trace.NewLoggerSized(env.clock, 6*deliveries+6*bursts)
+		env.logger = trace.NewLoggerSized(clock, 6*deliveries+6*bursts)
 		env.dev.Wakelocks().Subscribe(env.logger)
 		env.dev.OnTask(env.logger.Task)
 	}
-	env.mgr.SetRecordFunc(env.observe)
+	if env.observeFn == nil {
+		env.observeFn = env.observe
+	}
+	env.mgr.SetRecordFunc(env.observeFn)
 
-	env.rt = apps.NewRuntime(env.clock, env.dev, env.mgr, cfg.Beta, simclock.Rand(cfg.Seed+1))
-	env.rt.Jitter = cfg.TaskJitter
-	env.rt.AlignedPhases = cfg.AlignedPhases
+	env.rt = apps.Runtime{
+		Clock: clock, Dev: &env.dev, Mgr: &env.mgr, Beta: cfg.Beta,
+		Rng:    simclock.Reseed(env.rt.Rng, cfg.Seed+1),
+		Jitter: cfg.TaskJitter, AlignedPhases: cfg.AlignedPhases,
+	}
 
 	// The fault injector hooks in before the workload installs (clock
 	// skew applies at install time). With no plan, nothing below changes
 	// behaviour: the golden parity tests pin that a nil Faults config
 	// remains byte-identical to the pre-fault implementation.
+	env.inj = nil
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		installed := make([]string, 0, len(cfg.Workload))
 		for _, s := range cfg.Workload {
 			installed = append(installed, s.Name)
 		}
-		inj, err := fault.NewInjector(*cfg.Faults, cfg.Seed, env.clock, installed)
+		inj, err := fault.NewInjector(*cfg.Faults, cfg.Seed, clock, installed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		env.inj = inj
 		env.rt.Faults = inj
@@ -211,16 +261,16 @@ func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
 	}
 
 	if err := env.rt.Install(cfg.Workload); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.SystemAlarms {
-		if err := env.rt.Install(apps.SystemSpecs()); err != nil {
-			return nil, err
+		if err := env.rt.Install(systemSpecs); err != nil {
+			return err
 		}
 	}
 	if cfg.OneShots > 0 {
 		if err := env.rt.ScheduleOneShots(cfg.Duration, cfg.OneShots); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -230,14 +280,14 @@ func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
 	// Alarm storms register last: they are adversarial load on top of
 	// the legitimate workload, and with no plan this is a no-op.
 	if env.inj != nil {
-		err := env.inj.StartStorms(env.mgr, func(tag string, dur simclock.Duration) {
+		err := env.inj.StartStorms(&env.mgr, func(tag string, dur simclock.Duration) {
 			env.dev.RunTaskTagged(tag, 0, dur)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return fmt.Errorf("sim: %w", err)
 		}
 	}
-	return env, nil
+	return nil
 }
 
 // screenSessionDur is how long one screen-on session keeps the screen
@@ -252,19 +302,25 @@ func (e *runEnv) scheduleScreenSessions(horizon simclock.Duration) {
 	if rate <= 0 {
 		return
 	}
-	p := &wakeProcess{
-		env: e, rng: simclock.Rand(e.cfg.Seed + 3), horizon: simclock.Time(horizon),
-		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale,
-		scale: func(ph apps.Phase) float64 { return ph.ScreenScale },
-		tag:   "screen-session", set: hw.MakeSet(hw.Screen), dur: screenSessionDur,
+	p := &e.screenProc
+	*p = wakeProcess{
+		env: e, rng: simclock.Reseed(p.rng, e.cfg.Seed+3), horizon: simclock.Time(horizon),
+		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale, scale: screenScale,
+		tag: "screen-session", set: hw.MakeSet(hw.Screen), dur: screenSessionDur,
+		fireFn: p.fireFn, taskFn: p.taskFn,
 	}
 	p.start()
 }
 
+func screenScale(ph apps.Phase) float64 { return ph.ScreenScale }
+
+func pushScale(ph apps.Phase) float64 { return ph.PushScale }
+
 // wakeProcess is one of the run's external-wakeup processes (pushes,
 // screen sessions): candidate events at Poisson arrival times, each
-// waking the device to run one task. Its two callbacks are bound once, at
-// start, so the process allocates nothing per event.
+// waking the device to run one task. Its two callbacks are bound at its
+// first start and kept across runs, so the process allocates nothing per
+// event.
 type wakeProcess struct {
 	env      *runEnv
 	rng      *rand.Rand
@@ -283,9 +339,11 @@ type wakeProcess struct {
 	fireFn, taskFn func()
 }
 
-// start binds the callbacks and schedules the first candidate.
+// start binds the callbacks if need be and schedules the first candidate.
 func (p *wakeProcess) start() {
-	p.fireFn, p.taskFn = p.fire, p.task
+	if p.fireFn == nil {
+		p.fireFn, p.taskFn = p.fire, p.task
+	}
 	p.schedule(simclock.Time(p.gap()))
 }
 
@@ -344,12 +402,12 @@ func (e *runEnv) schedulePushes(horizon simclock.Duration) {
 		return
 	}
 	// Receiving the message costs a short Wi-Fi burst.
-	p := &wakeProcess{
-		env: e, rng: simclock.Rand(e.cfg.Seed + 2), horizon: simclock.Time(horizon),
-		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale,
-		scale: func(ph apps.Phase) float64 { return ph.PushScale },
-		tag:   "gcm-push", set: hw.MakeSet(hw.WiFi), dur: simclock.Second,
-		counter: &e.pushes,
+	p := &e.pushProc
+	*p = wakeProcess{
+		env: e, rng: simclock.Reseed(p.rng, e.cfg.Seed+2), horizon: simclock.Time(horizon),
+		meanGap: float64(simclock.Hour) / rate, maxScale: maxScale, scale: pushScale,
+		tag: "gcm-push", set: hw.MakeSet(hw.WiFi), dur: simclock.Second,
+		counter: &e.pushes, fireFn: p.fireFn, taskFn: p.taskFn,
 	}
 	p.start()
 }

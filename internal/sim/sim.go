@@ -261,14 +261,23 @@ type Result struct {
 // Run executes one simulation and computes all derived metrics.
 func Run(cfg Config) (*Result, error) {
 	start := time.Now()
-	env, err := newRunEnv(cfg, 0)
+	env := envPool.Get().(*runEnv)
+	res, err := env.run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	env.clock.Run(simclock.Time(env.cfg.Duration))
-	res := env.result()
+	envPool.Put(env)
 	res.Wall = time.Since(start)
 	return res, nil
+}
+
+// run rebuilds env for cfg and simulates it to the standby horizon.
+func (env *runEnv) run(cfg Config) (*Result, error) {
+	if err := env.reset(cfg, 0); err != nil {
+		return nil, err
+	}
+	env.clock.Run(simclock.Time(env.cfg.Duration))
+	return env.result(), nil
 }
 
 // Comparison pairs a baseline run (typically NATIVE) with a candidate

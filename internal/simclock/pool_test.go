@@ -93,6 +93,52 @@ func TestPendingOnRecycled(t *testing.T) {
 	}
 }
 
+// TestResetInvalidatesPending: a reset clock is at time zero with an
+// empty queue, the events pending at the reset never fire, and their
+// stale handles stay inert once later Schedules reuse the objects.
+func TestResetInvalidatesPending(t *testing.T) {
+	c := New()
+	stale := c.Schedule(50, func() { t.Fatal("event pending at Reset fired") })
+	c.Run(10)
+	c.Reset()
+	if c.Now() != 0 || c.Len() != 0 || stale.Pending() {
+		t.Fatalf("after Reset: now %v, %d pending, stale pending %v", c.Now(), c.Len(), stale.Pending())
+	}
+	fired := false
+	live := c.Schedule(50, func() { fired = true })
+	if live.e != stale.e {
+		t.Fatal("test premise broken: Reset did not recycle the pending event")
+	}
+	c.Cancel(stale)
+	c.Run(100)
+	if !fired {
+		t.Fatal("stale Cancel after Reset killed a live timer")
+	}
+}
+
+// TestReseedMatchesRand: a source reseeded after use draws the stream a
+// fresh source of that seed draws, and so does one handed out by Draw.
+func TestReseedMatchesRand(t *testing.T) {
+	used := Rand(3)
+	used.Perm(40)
+	used = Reseed(used, 7)
+	fresh := Rand(7)
+	for i := 0; i < 100; i++ {
+		if a, b := used.Float64(), fresh.Float64(); a != b {
+			t.Fatalf("draw %d: reseeded %v, fresh %v", i, a, b)
+		}
+	}
+	Draw(9, func(r *rand.Rand) { r.Perm(40) })
+	var got, want []int
+	Draw(11, func(r *rand.Rand) { got = r.Perm(40) })
+	want = Rand(11).Perm(40)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Draw(11) diverged from Rand(11) at %d", i)
+		}
+	}
+}
+
 // replaySchedule drives one deterministic random workload — rounds of
 // schedule / nested-schedule / cancel / partial Run — and returns the IDs
 // in firing order. All randomness is drawn up front per op from the seed,

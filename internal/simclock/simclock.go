@@ -20,6 +20,7 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/freelist"
 )
@@ -91,8 +92,9 @@ func (t Timer) At() Time {
 	return t.e.at
 }
 
-// Clock is a virtual clock with an event queue. The zero value is not
-// ready to use; call New.
+// Clock is a virtual clock with an event queue. The zero value is a
+// clock at time zero with an empty queue; Reset returns a used clock to
+// that state while keeping its grown pool and heap array.
 type Clock struct {
 	now Time
 	pq  []*Event // min-heap on (at, seq)
@@ -109,6 +111,20 @@ type Clock struct {
 
 // New returns a Clock positioned at time zero with an empty event queue.
 func New() *Clock { return &Clock{} }
+
+// Reset returns the clock to time zero with an empty queue. Every event
+// still pending is recycled as if cancelled: its generation moves on, so
+// a Timer handed out before the reset can never observe, cancel or fire
+// the object once a later Schedule reuses it. The free list and the heap
+// array keep their capacity for the next simulation.
+func (c *Clock) Reset() {
+	for _, e := range c.pq {
+		c.recycle(e)
+	}
+	clear(c.pq)
+	c.pq = c.pq[:0]
+	c.now, c.seq = 0, 0
+}
 
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -299,3 +315,29 @@ func (c *Clock) siftDown(i int) bool {
 // that changing one component's consumption pattern does not perturb the
 // others.
 func Rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// Reseed returns r reseeded to seed, or Rand(seed) when r is nil. A
+// reseeded source is in exactly the state Rand(seed) starts in, so a
+// layer that keeps its source across simulations draws the same stream
+// without allocating another ~5 KB source per run.
+func Reseed(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return Rand(seed)
+	}
+	r.Seed(seed)
+	return r
+}
+
+// drawPool holds the sources Draw recycles.
+var drawPool sync.Pool
+
+// Draw calls fn with a source in the state Rand(seed) starts in, taken
+// from a pool of sources earlier calls used, for the callers that need a
+// handful of draws from a fresh stream. fn must not keep the source. Draw
+// is safe for concurrent use.
+func Draw(seed int64, fn func(*rand.Rand)) {
+	r, _ := drawPool.Get().(*rand.Rand)
+	r = Reseed(r, seed)
+	fn(r)
+	drawPool.Put(r)
+}

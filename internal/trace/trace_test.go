@@ -14,7 +14,7 @@ func buildLog(t *testing.T) *Logger {
 	t.Helper()
 	c := simclock.New()
 	l := NewLoggerSized(c, 0)
-	wl := hw.NewWakelockManager()
+	wl := new(hw.WakelockManager)
 	wl.Subscribe(l)
 	wl.Acquire(hw.MakeSet(hw.WiFi))
 	c.Run(simclock.Time(2 * simclock.Second))
