@@ -62,8 +62,8 @@ FUZZTIME ?= 10s
 HAMMERTESTS = RunAll RunTrials CompareTrials Sweep GoldenRecordParity \
 	Fleet Concurrent Drain SSE Daemon PooledMatchesUnpooled NoTraceParity \
 	Backend Herd Readyz Heartbeat Shard Checkpoint Manifest MultiProcess \
-	Scoreboard Tournament PerceptibleGuarantee RecycledRunMatchesFresh
-HAMMERPKGS = ./internal/simclock/ ./internal/sim/ ./internal/fleet/ \
+	Scoreboard Tournament PerceptibleGuarantee RecycledRunMatchesFresh PoolRun
+HAMMERPKGS = ./internal/pool/ ./internal/simclock/ ./internal/sim/ ./internal/fleet/ \
 	./internal/runstore/ ./internal/httpapi/ ./internal/backend/ \
 	./internal/shardexec/ ./internal/tournament/ ./cmd/wakesimd/ \
 	./cmd/wakesim/ .
@@ -72,7 +72,7 @@ space := $(empty) $(empty)
 
 # Coverage floor (percent) for the core packages.
 COVERMIN ?= 70
-COVERPKGS = ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
+COVERPKGS = ./internal/pool/ ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
 
 verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test
 

@@ -219,10 +219,8 @@ func (o *options) validate(explicit map[string]bool) error {
 		return fmt.Errorf("-spec and -workload are mutually exclusive: the spec file is the workload")
 	}
 	if o.specFile == "" {
-		switch o.workload {
-		case "light", "heavy", "table3":
-		default:
-			return fmt.Errorf("unknown workload %q (want light, heavy, or table3)", o.workload)
+		if _, err := apps.Workload(o.workload); err != nil {
+			return err
 		}
 	}
 	if !(o.hours > 0) || math.IsInf(o.hours, 0) { // !(x>0) also catches NaN
@@ -339,10 +337,8 @@ func (o *options) loadWorkload() ([]apps.Spec, string, error) {
 		}
 		return specs, o.specFile, nil
 	}
-	if o.workload == "light" {
-		return apps.LightWorkload(), o.workload, nil
-	}
-	return apps.HeavyWorkload(), o.workload, nil
+	specs, err := apps.Workload(o.workload)
+	return specs, o.workload, err
 }
 
 // config assembles the validated options into a run configuration.

@@ -101,6 +101,21 @@ func LightWorkload() []Spec { return Table3()[:12] }
 // similarity.
 func HeavyWorkload() []Spec { return Table3() }
 
+// Workload resolves a built-in workload name — light, heavy or table3 —
+// to its app specs. It is the one vocabulary of the single-device
+// surfaces (wakesim -workload and the service's run spec).
+func Workload(name string) ([]Spec, error) {
+	switch name {
+	case "light":
+		return LightWorkload(), nil
+	case "heavy":
+		return HeavyWorkload(), nil
+	case "table3":
+		return Table3(), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q (want light, heavy, or table3)", name)
+}
+
 // SystemSpecs returns a background population of system-service alarms
 // (sync adapters, connectivity checks, battery stats...). They wakelock
 // nothing beyond the CPU; the paper's CPU wakeup counts include them.

@@ -115,7 +115,7 @@ const (
 // counters and histograms ShardAggregate carries beside it.
 type fold [nMetrics]stats.Acc
 
-func (f *fold) observe(d Device, base, test *sim.Result) {
+func (f *fold) observe(base, test *sim.Result) {
 	for p, r := range [...]*sim.Result{base, test} {
 		g := r.Guarantees
 		for m, v := range [...]float64{r.Energy.TotalMJ(), r.StandbyHours, float64(r.FinalWakeups), r.Delays.ImperceptibleMean,
@@ -123,8 +123,9 @@ func (f *fold) observe(d Device, base, test *sim.Result) {
 			f[p*perPolicy+m].Add(v)
 		}
 	}
+	// The fleet's only fault is the sampled wakelock leak.
 	cmp, leak := sim.Comparison{Base: base, Test: test}, 0.0
-	if d.LeakApp != "" {
+	if base.Config.Faults != nil {
 		leak = 1
 	}
 	for i, v := range [...]float64{cmp.TotalSavings(), cmp.AwakeSavings(), cmp.StandbyExtension(), cmp.WakeupReduction(), leak} {
@@ -180,9 +181,9 @@ func NewAggregate(spec Spec) *Aggregate {
 }
 
 // observe folds one device's base/test run pair into the aggregate.
-func (a *Aggregate) observe(d Device, base, test *sim.Result) {
+func (a *Aggregate) observe(base, test *sim.Result) {
 	st := &a.state
-	st.fold.observe(d, base, test)
+	st.fold.observe(base, test)
 	if st.HasBackend && base.Backend != nil {
 		st.BaseStats.Merge(base.Backend)
 		st.BaseHist.Merge(base.Backend.Hist)

@@ -43,17 +43,17 @@ func summaryJSON(t *testing.T, opts Options) []byte {
 // matter how many workers executed the runs or how the fleet was
 // sharded.
 func TestFleetByteIdenticalAcrossWorkersAndShards(t *testing.T) {
-	ref := summaryJSON(t, Options{Workers: 1, ShardSize: DefaultShardSize})
+	ref := summaryJSON(t, Options{Workers: 1})
 	for _, opts := range []Options{
-		{Workers: 8, ShardSize: DefaultShardSize},
-		{Workers: 1, ShardSize: 7},
-		{Workers: 8, ShardSize: 7},
-		{Workers: 3, ShardSize: 13},
+		{Workers: 8},
+		{Workers: 1},
+		{Workers: 8},
+		{Workers: 3},
 	} {
 		got := summaryJSON(t, opts)
 		if !bytes.Equal(ref, got) {
-			t.Errorf("workers=%d shard=%d: aggregate JSON differs from workers=1 reference\nref:  %s\ngot:  %s",
-				opts.Workers, opts.ShardSize, ref, got)
+			t.Errorf("workers=%d: aggregate JSON differs from workers=1 reference\nref:  %s\ngot:  %s",
+				opts.Workers, ref, got)
 		}
 	}
 }

@@ -29,9 +29,9 @@ func herdSpec(testPolicy string) Spec {
 	}
 }
 
-func herdSummary(t *testing.T, testPolicy string, workers, shard int) Summary {
+func herdSummary(t *testing.T, testPolicy string, workers int) Summary {
 	t.Helper()
-	res, err := Run(context.Background(), herdSpec(testPolicy), Options{Workers: workers, ShardSize: shard})
+	res, err := Run(context.Background(), herdSpec(testPolicy), Options{Workers: workers})
 	if err != nil {
 		t.Fatalf("%s: %v", testPolicy, err)
 	}
@@ -43,8 +43,8 @@ func herdSummary(t *testing.T, testPolicy string, workers, shard int) Summary {
 // shared instants at least as hard as NATIVE's, and SIMTY-J's per-device
 // phase jitter spreads that spike back out while keeping SIMTY's energy.
 func TestHerdPeakOrdering(t *testing.T) {
-	simty := herdSummary(t, "SIMTY", 4, 16)
-	simtyJ := herdSummary(t, "SIMTY-J", 4, 16)
+	simty := herdSummary(t, "SIMTY", 4)
+	simtyJ := herdSummary(t, "SIMTY-J", 4)
 
 	native := simty.Base.Backend
 	if native == nil || simty.Test.Backend == nil || simtyJ.Test.Backend == nil {
@@ -89,18 +89,18 @@ func TestHerdPeakOrdering(t *testing.T) {
 // merged arrival histograms, server-queue replay, retry counters — is
 // byte-identical no matter how the devices were sharded across workers.
 func TestHerdByteIdenticalAcrossWorkersAndShards(t *testing.T) {
-	want, err := json.Marshal(herdSummary(t, "SIMTY-J", 1, 7))
+	want, err := json.Marshal(herdSummary(t, "SIMTY-J", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ workers, shard int }{{4, 7}, {1, 64}, {4, 64}} {
-		got, err := json.Marshal(herdSummary(t, "SIMTY-J", c.workers, c.shard))
+	for _, c := range []struct{ workers int }{{4}, {1}, {4}} {
+		got, err := json.Marshal(herdSummary(t, "SIMTY-J", c.workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("workers=%d shard=%d: summary differs from workers=1 shard=7",
-				c.workers, c.shard)
+			t.Errorf("workers=%d: summary differs from workers=1",
+				c.workers)
 		}
 	}
 }

@@ -25,11 +25,11 @@ func TestRunPartialAggregateOnFailure(t *testing.T) {
 	const shard = 4
 
 	// Poison the fleet after the first shard folds: cancelling from the
-	// fold-loop Progress callback is synchronous, so shard 2's RunAll
-	// starts with a dead context and contributes nothing.
+	// fold-loop Progress callback is synchronous, so the run pool
+	// delivers nothing more and the later devices contribute nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r, err := Run(ctx, spec, Options{ShardSize: shard, Progress: func(done, total int) {
+	r, err := Run(ctx, spec, Options{Progress: func(done, total int) {
 		if done == shard {
 			cancel()
 		}
@@ -51,7 +51,7 @@ func TestRunPartialAggregateOnFailure(t *testing.T) {
 	// folded devices, byte for byte.
 	truncated := spec
 	truncated.Devices = shard
-	want, err := Run(context.Background(), truncated, Options{ShardSize: shard})
+	want, err := Run(context.Background(), truncated, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func init() {
 // stack, alongside the (empty) partial aggregate — the process survives.
 func TestRunPanickingPolicyIsAnError(t *testing.T) {
 	spec := Spec{Devices: 8, Seed: 3, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}, TestPolicy: "FLEET-PANIC"}
-	r, err := Run(context.Background(), spec, Options{Workers: 2, ShardSize: 4})
+	r, err := Run(context.Background(), spec, Options{Workers: 2})
 	var pe *sim.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *sim.PanicError", err)
@@ -106,8 +106,7 @@ func TestRunProgressThreading(t *testing.T) {
 
 	var runs, lastDone int
 	opts := Options{
-		ShardSize: 3,
-		Workers:   2,
+		Workers: 2,
 		RunProgress: func(p sim.Progress) {
 			runs++
 			if p.Total != 2*spec.Devices {
@@ -161,7 +160,6 @@ func TestRunSnapshots(t *testing.T) {
 	}
 	var snaps []snap
 	r, err := Run(context.Background(), spec, Options{
-		ShardSize:     3,
 		SnapshotEvery: 3,
 		Snapshot: func(done, total int, s Summary) {
 			if total != spec.Devices {
@@ -202,7 +200,6 @@ func TestRunProgressConcurrentFleets(t *testing.T) {
 		go func(seed int64) {
 			spec := Spec{Devices: 6, Seed: seed, Hours: 0.25, Apps: IntRange{Min: 1, Max: 2}}
 			_, err := Run(context.Background(), spec, Options{
-				ShardSize:   2,
 				RunProgress: func(p sim.Progress) { total.Add(1) },
 			})
 			done <- err

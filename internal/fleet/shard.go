@@ -50,7 +50,7 @@ func SpecHash(s Spec) [32]byte {
 // RunShard simulates the device range [lo, hi) of the spec and returns
 // its folded state: the worker half of the multi-process protocol.
 // Sampling is a pure function of (Spec, index), so any process can own
-// any range. workers bounds the sim.RunAll pool (≤ 0 means GOMAXPROCS).
+// any range. workers bounds the run pool (≤ 0 means GOMAXPROCS).
 func RunShard(ctx context.Context, spec Spec, lo, hi, workers int) (*ShardAggregate, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -60,9 +60,8 @@ func RunShard(ctx context.Context, spec Spec, lo, hi, workers int) (*ShardAggreg
 		return nil, fmt.Errorf("fleet: shard range [%d, %d) outside fleet of %d devices", lo, hi, spec.Devices)
 	}
 	agg := NewAggregate(spec)
-	if err := runDevices(ctx, spec, lo, hi, DefaultShardSize, workers, nil, agg.observe); err != nil {
-		from := lo + agg.Devices()
-		return nil, fmt.Errorf("fleet: shard devices %d–%d: %w", from, min(from+DefaultShardSize, hi)-1, err)
+	if err := runDevices(ctx, spec, lo, hi, workers, nil, agg.observe); err != nil {
+		return nil, fmt.Errorf("fleet: shard [%d, %d) after %d devices: %w", lo, hi, agg.Devices(), err)
 	}
 	sa := agg.state
 	sa.Lo, sa.Hi, sa.SpecHash = lo, hi, SpecHash(spec)

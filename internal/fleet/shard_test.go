@@ -138,8 +138,7 @@ func TestRunCancellationClassified(t *testing.T) {
 	spec := Spec{Devices: 200, Seed: 2, Hours: 0.5}
 	var partial *Result
 	partial, err := Run(ctx, spec, Options{
-		Workers:   1,
-		ShardSize: 4,
+		Workers: 1,
 		Progress: func(done, total int) {
 			if done == 8 {
 				cancel()

@@ -3,9 +3,11 @@
 // management service would face. A Spec describes seeded distributions
 // over device configurations (app mixes, push and screen-session rates,
 // battery capacity, optional fault plans); the runner samples N devices,
-// shards them across the sim.RunAll worker pool, and folds the
-// per-device results into exactly mergeable accumulators (stats.Acc),
-// never retaining per-run Records or traces.
+// streams their 2×N runs through one sim.Stream on the ordered run pool
+// (internal/pool: no batches, results delivered in run order, at most
+// 128 runs prepared but not yet folded), and folds each device's pair
+// into exactly mergeable accumulators (stats.Acc), never retaining
+// per-run Records or traces.
 //
 // Determinism contract: device i's configuration is a pure function of
 // (Spec, i), and the accumulators merge exactly, so a fleet's JSON

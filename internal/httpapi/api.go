@@ -2,11 +2,11 @@
 // and whole-fleet specs, fetch stored results, cancel in-flight work,
 // and tail per-device progress plus live aggregate snapshots over
 // Server-Sent Events. State lives in an internal/runstore Store. A run
-// executes on the sim.RunAll pool and a fleet through shardexec.Run —
-// in this process, or across worker processes when Options.Procs > 0 —
-// so everything the library guarantees — determinism, byte-identical
-// aggregates, partial results on failure — holds verbatim for results
-// fetched over HTTP.
+// executes on the run pool (sim.RunAll) and a fleet through
+// shardexec.Run — in this process, or across worker processes when
+// Options.Procs > 0 — so everything the library guarantees —
+// determinism, byte-identical aggregates, partial results on failure —
+// holds verbatim for results fetched over HTTP.
 //
 //	POST   /runs               submit one device run (RunSpec JSON)
 //	POST   /fleets             submit a fleet (fleet.Spec JSON)
@@ -41,8 +41,7 @@ import (
 
 // Options tune the service.
 type Options struct {
-	// Workers bounds each execution's sim.RunAll pool; ≤ 0 means
-	// GOMAXPROCS.
+	// Workers bounds each execution's run pool; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// SnapshotEvery is the fold interval between SSE aggregate
 	// snapshots; ≤ 0 means fleet.DefaultSnapshotEvery.
@@ -144,8 +143,9 @@ func (s *Server) submit(w http.ResponseWriter, kind string, exec runstore.Exec) 
 }
 
 // submitRun accepts a single-device spec via the specjson path and
-// executes it on the parallel runner (one-element batch: context
-// cancellation and panic isolation come with the pool).
+// executes it on the run pool (one run: context cancellation and panic
+// isolation come with the pool). The run keeps no Records: summarize
+// reads only the metrics a NoTrace run streams.
 func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
 	if err := s.decode(w, r, &spec); err != nil {
@@ -157,6 +157,7 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	cfg.NoTrace = true
 	s.submit(w, "run", func(ctx context.Context, h runstore.Handle) (any, error) {
 		h.SetProgress(0, 1)
 		rs, err := sim.RunAll(ctx, []sim.Config{cfg}, sim.RunAllOptions{Workers: s.opts.Workers})

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/runstore"
+	"repro/internal/sim"
 )
 
 // newTestServer stands up the full service over real HTTP (SSE needs a
@@ -182,6 +183,25 @@ func TestSubmitRunLifecycle(t *testing.T) {
 	}
 	if e.Done != 1 || e.Total != 1 {
 		t.Fatalf("progress = %d/%d, want 1/1", e.Done, e.Total)
+	}
+
+	// The service's run keeps no Records, yet its summary equals that
+	// of a direct run that retains them, wall time aside.
+	cfg, err := RunSpec{Workload: "light", Hours: 0.25, Seed: 3}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Records) == 0 {
+		t.Fatal("the direct run retained no Records")
+	}
+	want := summarize(direct)
+	sum.WallMS, want.WallMS = 0, 0
+	if sum != want {
+		t.Fatalf("stored summary diverges from a retained run:\n got %+v\nwant %+v", sum, want)
 	}
 }
 
@@ -452,6 +472,7 @@ func TestBadSpecsRejected(t *testing.T) {
 		{"huge hours", "/runs", `{"hours": 1e6}`, "hours"},
 		{"bad app spec", "/runs", `{"apps": [{"name":"A","period_s":-5,"alpha":0,"hw":[],"task_s":1}]}`, "period"},
 		{"bad beta", "/runs", `{"beta": -0.5}`, "beta"},
+		{"beta one", "/runs", `{"beta": 1}`, "grace factor"},
 		{"empty apps array", "/runs", `{"apps": []}`, "workload"},
 		{"garbage fleet", "/fleets", "also not json", "decode"},
 		{"unknown fleet field", "/fleets", `{"devices": 5, "bogus": 1}`, "bogus"},

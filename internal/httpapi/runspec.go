@@ -81,17 +81,11 @@ func (rs RunSpec) Config() (sim.Config, error) {
 		workload, name = specs, defaultStr(name, "custom")
 	default:
 		w := defaultStr(rs.Workload, "heavy")
-		switch w {
-		case "light":
-			workload = apps.LightWorkload()
-		case "heavy":
-			workload = apps.HeavyWorkload()
-		case "table3":
-			workload = apps.Table3()
-		default:
-			return sim.Config{}, fmt.Errorf("unknown workload %q (want light, heavy, or table3)", w)
+		specs, err := apps.Workload(w)
+		if err != nil {
+			return sim.Config{}, err
 		}
-		name = defaultStr(name, w)
+		workload, name = specs, defaultStr(name, w)
 	}
 
 	cfg := sim.Config{

@@ -7,8 +7,8 @@
 // Executions are bounded: at most the configured number of runs execute
 // at once, the rest queue in pending state in submission order. Each
 // entry owns a context.CancelFunc, so a DELETE cancels a running fleet
-// mid-shard (the existing sim.RunAll/fleet.Run pools observe the
-// context) and a queued one before it ever starts. Close stops new
+// mid-flight (the run pool under every execution observes the context
+// and delivers nothing more) and a queued one before it ever starts. Close stops new
 // submissions; Drain waits for in-flight work so a SIGTERM can land
 // without truncating anyone's fleet.
 package runstore
@@ -161,8 +161,8 @@ type Store struct {
 }
 
 // DefaultMaxConcurrent bounds simultaneous executions when New is given
-// a non-positive limit. Each execution saturates its own sim.RunAll
-// pool, so a small number of slots already fills the machine; more
+// a non-positive limit. Each execution saturates its own run pool, so
+// a small number of slots already fills the machine; more
 // slots trade per-run latency for fairness across submitters.
 const DefaultMaxConcurrent = 2
 

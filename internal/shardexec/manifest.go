@@ -5,7 +5,10 @@
 // merges the shard states they return, exactly and in device order — so
 // the final Summary JSON is byte-identical to a single-process fleet.Run
 // regardless of the process count or which workers crashed along the
-// way. Run is every program's fleet entry point: with no worker
+// way. The supervisor is one ordered pool.Run over all shards: at most
+// Options.Procs worker processes at once, and its in-order delivery
+// merges each shard once it and every shard before it are done, so it
+// keeps no queue of its own. Run is every program's fleet entry point: with no worker
 // processes (Options.Procs ≤ 0) it is fleet.Run in this process, so a
 // caller picks the execution shape with one number and never branches.
 //

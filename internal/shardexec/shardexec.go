@@ -10,10 +10,10 @@ import (
 	"os/exec"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -21,11 +21,10 @@ import (
 // failed attempt is a crashed, killed, or hung worker, never a flaky
 // result: a few attempts separate a transient fault from a poison shard.
 const (
-	// DefaultShardSize is the device range per worker process. It is
-	// deliberately much larger than fleet.DefaultShardSize (the
-	// in-process batch size): a process carries fork/exec and
-	// serialization overhead, so shards are coarse and workers batch
-	// internally.
+	// DefaultShardSize is the device range per worker process. A
+	// process carries fork/exec and serialization overhead, so shards
+	// are coarse; each worker streams its range through its own run
+	// pool.
 	DefaultShardSize = 2048
 	// maxAttempts is how many times a shard runs before it is
 	// quarantined.
@@ -109,7 +108,7 @@ type ShardEvent struct {
 type Result struct {
 	Spec fleet.Spec
 	// Agg holds the merged aggregate: the whole fleet on success, the
-	// longest contiguous device prefix on quarantine or cancellation.
+	// device prefix merged before a quarantine or cancellation.
 	Agg *fleet.Aggregate
 	// Shards is the plan size; Completed counts shards merged into Agg.
 	Shards, Completed int
@@ -125,20 +124,10 @@ type Result struct {
 	Wall        time.Duration
 }
 
-// shardResult crosses from a worker goroutine back to the supervisor.
-type shardResult struct {
-	index    int
-	frame    []byte
-	sa       *fleet.ShardAggregate
-	attempts int
-	err      error
-	// skipped marks jobs drained after an abort; they consumed no
-	// attempts and carry no error.
-	skipped bool
-}
-
-// Run executes the spec's fleet across worker processes and merges the
-// shard states in device order. The merge is exact, so the Summary of
+// Run executes the spec's fleet across worker processes — one pool.Run
+// over all shards, at most Procs worker processes at once — and merges
+// the shard states in device order as each one and every shard before
+// it are done. The merge is exact, so the Summary of
 // the returned aggregate is byte-identical to a single-process
 // fleet.Run of the same spec — regardless of Procs, ShardSize, worker
 // crashes, retries, or a checkpoint resume in the middle. With
@@ -147,11 +136,12 @@ type shardResult struct {
 //
 // Error contract (mirroring fleet.Run): a quarantined shard or a
 // cancelled context returns the partial *Result alongside the error —
-// the aggregate holds the longest contiguous device prefix, and the
-// error joins every quarantined shard's attempt errors. Cancellation is
-// classified: errors.Is(err, context.Canceled) (or DeadlineExceeded)
-// identifies a caller abort rather than a shard failure. Only a spec or
-// options failure returns a nil Result.
+// the aggregate holds the shards merged before the failure stopped the
+// pool, a device prefix, and the error joins every quarantined shard's
+// attempt errors. Cancellation is classified: errors.Is(err,
+// context.Canceled) (or DeadlineExceeded) identifies a caller abort
+// rather than a shard failure. Only a spec or options failure returns a
+// nil Result.
 func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	if opts.Procs <= 0 {
 		return runInProcess(ctx, spec, opts)
@@ -179,33 +169,22 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 	}
 
 	shards := (spec.Devices + shardSize - 1) / shardSize
-	procs := min(opts.Procs, shards)
 
-	var onShardMu sync.Mutex
+	// mu serializes OnShard calls and guards the attempt counters, the
+	// quarantine list and the checkpoint.
+	var mu sync.Mutex
 	emit := func(ev ShardEvent) {
 		if opts.OnShard != nil {
-			onShardMu.Lock()
+			mu.Lock()
 			opts.OnShard(ev)
-			onShardMu.Unlock()
+			mu.Unlock()
 		}
 	}
-	rangeOf := func(index int) (lo, hi int) {
-		lo = index * shardSize
-		hi = lo + shardSize
-		if hi > spec.Devices {
-			hi = spec.Devices
-		}
-		return lo, hi
-	}
+	rangeOf := func(i int) (lo, hi int) { return i * shardSize, min((i+1)*shardSize, spec.Devices) }
 
 	res := &Result{Spec: spec, Shards: shards, Agg: fleet.NewAggregate(spec)}
-	merged := 0 // shards folded into res.Agg
-	// pending holds completed shards waiting for their turn in the
-	// device-order merge: out-of-order worker completions, and every
-	// shard recovered from the checkpoint.
-	pending := make(map[int]*fleet.ShardAggregate)
-
 	var ck *checkpoint
+	var cached map[int]*fleet.ShardAggregate
 	if opts.Checkpoint != "" {
 		var st *checkpointState
 		var err error
@@ -215,129 +194,73 @@ func Run(ctx context.Context, spec fleet.Spec, opts Options) (*Result, error) {
 		}
 		defer ck.Close()
 		if st != nil {
-			pending = st.shards
+			cached = st.shards
 		}
 	}
-
-	// The plan: every shard not recovered from the checkpoint. Each
-	// recovered shard is reported once, in index order.
-	var todo []int
+	// Each shard recovered from the checkpoint is reported once, in
+	// index order, before any worker starts.
 	for i := 0; i < shards; i++ {
-		if _, ok := pending[i]; ok {
+		if cached[i] != nil {
 			lo, hi := rangeOf(i)
+			res.Resumed++
 			emit(ShardEvent{Index: i, Lo: lo, Hi: hi, State: "cached"})
-		} else {
-			todo = append(todo, i)
 		}
 	}
-	res.Resumed = shards - len(todo)
 
-	jobs := make(chan int)
-	results := make(chan shardResult)
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if aborted.Load() || ctx.Err() != nil {
-					results <- shardResult{index: idx, skipped: true}
-					continue
-				}
-				lo, hi := rangeOf(idx)
-				m := NewManifest(spec, idx, lo, hi, opts.Workers)
-				results <- runShardProcess(ctx, m, argv, opts.WorkerEnv, opts.WorkerTimeout, emit)
-			}
-		}()
+	// run yields a shard's state: recovered from the checkpoint, or
+	// computed by worker processes and appended to it.
+	run := func(i int, sa *fleet.ShardAggregate) (*fleet.ShardAggregate, error) {
+		if sa != nil {
+			return sa, nil
+		}
+		lo, hi := rangeOf(i)
+		frame, sa, attempts, err := runShardProcess(ctx, NewManifest(spec, i, lo, hi, opts.Workers), argv, opts.WorkerEnv, opts.WorkerTimeout, emit)
+		mu.Lock()
+		defer mu.Unlock()
+		res.Attempts += attempts
+		res.Retries += attempts - 1
+		switch {
+		case err == nil && ck != nil:
+			err = ck.appendShard(frame)
+		case err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+			res.Quarantined = append(res.Quarantined, i)
+			err = fmt.Errorf("shard %d: %w", i, err)
+		}
+		return sa, err
 	}
-	go func() {
-		for _, idx := range todo {
-			jobs <- idx
+	// deliver merges the shards in device order, so the aggregate is
+	// always a device prefix, and reports each merge.
+	deliver := func(i int, sa *fleet.ShardAggregate) error {
+		before := res.Agg.Devices()
+		if err := res.Agg.MergeShard(sa); err != nil {
+			return err
 		}
-		close(jobs)
-	}()
-
-	// mergeReady folds every contiguously-available shard, emitting
-	// progress and snapshots after each merge.
-	var mergeErr error
-	mergeReady := func() {
-		for {
-			sa, ok := pending[merged]
-			if !ok {
-				return
-			}
-			before := res.Agg.Devices()
-			if err := res.Agg.MergeShard(sa); err != nil {
-				// A merge failure is a supervisor bug or a poisoned
-				// checkpoint; surface it and stop merging.
-				if mergeErr == nil {
-					mergeErr = err
-					aborted.Store(true)
-				}
-				return
-			}
-			delete(pending, merged)
-			merged++
-			res.Completed++
-			done := res.Agg.Devices()
-			if opts.Progress != nil {
-				opts.Progress(done, spec.Devices)
-			}
-			if opts.Snapshot != nil && (done/snapEvery > before/snapEvery || merged == shards) {
-				opts.Snapshot(done, spec.Devices, res.Agg.Summary())
-			}
+		res.Completed++
+		done := res.Agg.Devices()
+		if opts.Progress != nil {
+			opts.Progress(done, spec.Devices)
 		}
+		if opts.Snapshot != nil && (done/snapEvery > before/snapEvery || i == shards-1) {
+			opts.Snapshot(done, spec.Devices, res.Agg.Summary())
+		}
+		return nil
 	}
-	mergeReady() // the contiguous prefix recovered from the checkpoint
-
-	var quarantineErrs []error
-	cancelled := false
-	for received := 0; received < len(todo); received++ {
-		r := <-results
-		if r.skipped {
-			continue
-		}
-		res.Attempts += r.attempts
-		if r.attempts > 1 {
-			res.Retries += r.attempts - 1
-		}
-		if r.err != nil {
-			if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) {
-				cancelled = true
-			} else {
-				res.Quarantined = append(res.Quarantined, r.index)
-				quarantineErrs = append(quarantineErrs, fmt.Errorf("shard %d: %w", r.index, r.err))
-			}
-			// Either way no more dispatching: the device-order merge
-			// cannot advance past a hole.
-			aborted.Store(true)
-			continue
-		}
-		if ck != nil {
-			if err := ck.appendShard(r.frame); err != nil && mergeErr == nil {
-				mergeErr = err
-				aborted.Store(true)
-			}
-		}
-		pending[r.index] = r.sa
-		mergeReady()
-	}
-	wg.Wait()
-	close(results)
+	err := pool.Run(ctx, shards, opts.Procs, func(i int) *fleet.ShardAggregate { return cached[i] }, run, deliver)
 	res.Wall = time.Since(start)
 
 	sort.Ints(res.Quarantined)
 	switch {
-	case mergeErr != nil:
-		return res, fmt.Errorf("shardexec: merge failed after %d devices: %w", res.Agg.Devices(), mergeErr)
-	case cancelled && len(quarantineErrs) == 0:
-		return res, fmt.Errorf("shardexec: cancelled after %d devices: %w", res.Agg.Devices(), context.Cause(ctx))
-	case len(quarantineErrs) > 0:
-		return res, fmt.Errorf("shardexec: %d of %d shards quarantined (aggregate holds %d devices): %w",
-			len(res.Quarantined), shards, res.Agg.Devices(), errors.Join(quarantineErrs...))
-	default:
+	case err == nil:
 		return res, nil
+	case len(res.Quarantined) > 0:
+		return res, fmt.Errorf("shardexec: %d of %d shards quarantined (aggregate holds %d devices): %w",
+			len(res.Quarantined), shards, res.Agg.Devices(), err)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return res, fmt.Errorf("shardexec: cancelled after %d devices: %w", res.Agg.Devices(), err)
+	default:
+		// A merge or checkpoint failure is a supervisor bug, a
+		// poisoned checkpoint or a full disk.
+		return res, fmt.Errorf("shardexec: merge failed after %d devices: %w", res.Agg.Devices(), err)
 	}
 }
 
@@ -391,9 +314,10 @@ func openOrCreate(path string, spec fleet.Spec, shardSize int, resume bool) (*ch
 
 // runShardProcess executes one shard to completion: launch a worker,
 // validate its output, retry with capped exponential backoff on any
-// failure, and quarantine after maxAttempts. A cancelled parent context
-// is reported as cancellation, never as a shard failure.
-func runShardProcess(ctx context.Context, m Manifest, argv, env []string, timeout time.Duration, emit func(ShardEvent)) shardResult {
+// failure, and quarantine after maxAttempts. It returns the shard's
+// frame and state and the attempts it launched. A cancelled parent
+// context is reported as ctx's cause, never as a shard failure.
+func runShardProcess(ctx context.Context, m Manifest, argv, env []string, timeout time.Duration, emit func(ShardEvent)) ([]byte, *fleet.ShardAggregate, int, error) {
 	var attemptErrs []error
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
@@ -402,22 +326,22 @@ func runShardProcess(ctx context.Context, m Manifest, argv, env []string, timeou
 		frame, sa, err := runWorkerAttempt(ctx, m, argv, env, timeout)
 		if err == nil {
 			emit(ShardEvent{Index: m.Index, Lo: m.Lo, Hi: m.Hi, Attempt: attempt, State: "ok"})
-			return shardResult{index: m.Index, frame: frame, sa: sa, attempts: attempt}
+			return frame, sa, attempt, nil
 		}
 		if ctx.Err() != nil {
 			// The parent gave up; the attempt's failure is a symptom,
 			// not a shard fault.
-			return shardResult{index: m.Index, attempts: attempt, err: context.Cause(ctx)}
+			return nil, nil, attempt, context.Cause(ctx)
 		}
 		attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", attempt, err))
 		if attempt >= maxAttempts {
 			emit(ShardEvent{Index: m.Index, Lo: m.Lo, Hi: m.Hi, Attempt: attempt, State: "quarantine", Err: err.Error()})
-			return shardResult{index: m.Index, attempts: attempt, err: errors.Join(attemptErrs...)}
+			return nil, nil, attempt, errors.Join(attemptErrs...)
 		}
 		emit(ShardEvent{Index: m.Index, Lo: m.Lo, Hi: m.Hi, Attempt: attempt, State: "retry", Err: err.Error()})
 		select {
 		case <-ctx.Done():
-			return shardResult{index: m.Index, attempts: attempt, err: context.Cause(ctx)}
+			return nil, nil, attempt, context.Cause(ctx)
 		case <-time.After(backoff):
 		}
 		if backoff *= 2; backoff > maxRetryBackoff {

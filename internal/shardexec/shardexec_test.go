@@ -388,9 +388,9 @@ func TestRunInProcessMatchesFleetRun(t *testing.T) {
 		checkpoint bool
 	}{
 		{name: "clean", devices: 20},
-		// fleet.Run folds fleet.DefaultShardSize devices per batch, so a
-		// cancel in the first batch's last fold keeps exactly that batch.
-		{name: "cancelled", devices: fleet.DefaultShardSize + 8, cancelAt: fleet.DefaultShardSize},
+		// A cancel inside a device's fold stops the run pool before it
+		// delivers another run, so exactly the devices folded so far stay.
+		{name: "cancelled", devices: 72, cancelAt: 64},
 		{name: "checkpoint refused", devices: 20, checkpoint: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

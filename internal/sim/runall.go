@@ -3,27 +3,31 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // The paper's evaluation is a grid of independent runs — workloads ×
 // policies × trials, plus β-sweeps and large-population sweeps. Every
 // run owns a private virtual clock, device, and RNG streams (seed-keyed
 // via simclock.Rand), so the grid is embarrassingly parallel: this file
-// fans it out over a bounded worker pool while keeping results
-// byte-identical to serial execution (pinned by TestRunAllMatchesSerial
-// under the race detector).
+// puts it on the one ordered run pool (internal/pool), which runs up to
+// Workers configurations at once, at most 128 ahead of delivery, and
+// delivers the results in input order, byte-identical to serial
+// execution (pinned by TestRunAllMatchesSerial under the race
+// detector). There are no batches: a fleet's thousands of runs are one
+// Stream.
 
 // Progress reports one finished run to a progress callback.
 type Progress struct {
-	// Index is the position of the finished run in the input slice.
+	// Index is the position of the finished run in the input.
 	Index int
 	// Done counts runs finished so far, including this one.
 	Done int
-	// Total is the number of runs in the batch.
+	// Total is the number of runs in the call.
 	Total int
 	// Name labels the run (Config.Name plus the policy).
 	Name string
@@ -55,35 +59,44 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("run panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// RunAll executes every configuration on a bounded worker pool and
-// returns the results in input order.
+// RunAll executes every configuration on the run pool (internal/pool)
+// and returns the results in input order.
 //
-// The first failed run cancels the pool — runs already in flight
-// finish, no new runs start — and RunAll returns a nil slice with that
-// run's error; cancelling ctx does the same with ctx.Err(). A panicking
-// run (a buggy custom policy) fails like any other: its error unwraps to
-// *PanicError with the stack attached, and the process does not crash.
+// The first failed run stops the pool — runs already in flight finish,
+// no new runs start — and RunAll returns a nil slice with the failed
+// runs' errors; cancelling ctx does the same with ctx's cause. A
+// panicking run (a buggy custom policy) fails like any other: its error
+// unwraps to *PanicError with the stack attached, and the process does
+// not crash.
 func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	err := runPool(ctx, cfgs, "run", opts, func(i int) (err error) {
-		results[i], err = Run(cfgs[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return runAll(ctx, cfgs, "run", Run, opts)
 }
 
-// RunToEmptyAll discharges every configuration on the worker pool —
+// RunToEmptyAll discharges every configuration on the run pool —
 // run-to-empty simulations cover hundreds of simulated hours each, so
 // they gain the most from fanning out. Results come back in input
 // order; error semantics match RunAll.
 func RunToEmptyAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*DrainResult, error) {
-	results := make([]*DrainResult, len(cfgs))
-	err := runPool(ctx, cfgs, "drain", opts, func(i int) (err error) {
-		results[i], err = RunToEmpty(cfgs[i])
-		return err
+	return runAll(ctx, cfgs, "drain", RunToEmpty, opts)
+}
+
+// Stream runs n configurations on the run pool and hands each result to
+// deliver in index order, on the caller's goroutine, as soon as it and
+// every run before it are done. cfg(i) builds run i's configuration; it
+// is called in index order on one goroutine, at most min(128, n) runs
+// ahead of delivery, so memory is bounded by that window, not by n.
+// Error semantics match RunAll, and an error from deliver stops the
+// pool like a failed run.
+func Stream(ctx context.Context, n int, cfg func(i int) Config, opts RunAllOptions, deliver func(i int, r *Result) error) error {
+	return stream(ctx, n, "run", cfg, Run, opts, deliver)
+}
+
+// runAll is stream with the results collected in input order.
+func runAll[R any](ctx context.Context, cfgs []Config, verb string, exec func(Config) (R, error), opts RunAllOptions) ([]R, error) {
+	results := make([]R, len(cfgs))
+	err := stream(ctx, len(cfgs), verb, func(i int) Config { return cfgs[i] }, exec, opts, func(i int, r R) error {
+		results[i] = r
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -171,80 +184,33 @@ func runLabel(c Config) string {
 	return pol
 }
 
-// runPool is the bounded-worker scaffolding under RunAll,
-// RunToEmptyAll, and the trial helpers: a feeder hands out indices, a
-// fixed set of workers executes fn, and the first failure (or ctx
-// cancellation) stops the feeder so no new work starts. A panic in fn
-// is recovered on the worker into a *PanicError and fails that run.
-// verb names the run kind in error messages.
-func runPool(ctx context.Context, cfgs []Config, verb string, opts RunAllOptions, fn func(i int) error) error {
-	n := len(cfgs)
-	if n == 0 {
-		return ctx.Err()
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
+// stream is the one pool call under RunAll, RunToEmptyAll and Stream:
+// exec runs each configuration on a pool worker, a panic in it is
+// recovered into a *PanicError that fails that run, a failed run's
+// error names it (verb labels the run kind), and Progress calls are
+// serialized.
+func stream[R any](ctx context.Context, n int, verb string, cfg func(int) Config, exec func(Config) (R, error), opts RunAllOptions, deliver func(int, R) error) error {
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		done int
 	)
-	next := make(chan int)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(next)
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// call runs one index, turning a panic into that run's error.
-	call := func(i int) (err error) {
+	run := func(i int, c Config) (r R, err error) {
+		start := time.Now()
 		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Value: r, Stack: debug.Stack()}
+			if p := recover(); p != nil {
+				err = &PanicError{Value: p, Stack: debug.Stack()}
+			}
+			switch {
+			case err != nil:
+				err = fmt.Errorf("sim: %s %d (%s): %w", verb, i, runLabel(c), err)
+			case opts.Progress != nil:
+				mu.Lock()
+				done++
+				opts.Progress(Progress{Index: i, Done: done, Total: n, Name: runLabel(c), Wall: time.Since(start)})
+				mu.Unlock()
 			}
 		}()
-		return fn(i)
+		return exec(c)
 	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				start := time.Now()
-				if err := call(i); err != nil {
-					// First failure wins; later ones are no-ops.
-					cancel(fmt.Errorf("sim: %s %d (%s): %w", verb, i, runLabel(cfgs[i]), err))
-					return
-				}
-				if opts.Progress != nil {
-					mu.Lock()
-					done++
-					opts.Progress(Progress{Index: i, Done: done, Total: n, Name: runLabel(cfgs[i]), Wall: time.Since(start)})
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait() // the feeder too: nothing outlives the call
-	// Cause distinguishes "a run failed" (the cause passed to cancel)
-	// from "the caller cancelled ctx" (its own error); nil means every
-	// run finished.
-	return context.Cause(ctx)
+	return pool.Run(ctx, n, opts.Workers, cfg, run, deliver)
 }

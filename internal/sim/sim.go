@@ -53,8 +53,9 @@ type Config struct {
 	OneShots int
 	// Duration is the connected-standby horizon (default 3 h).
 	Duration simclock.Duration
-	// Beta is the grace factor β (default 0.96). Only similarity-based
-	// policies read grace intervals, but the attribute is always set.
+	// Beta is the grace factor β, in (0, 1) (default 0.96): an alarm's
+	// grace interval is β × its period. Only similarity-based policies
+	// read grace intervals, but the attribute is always set.
 	Beta float64
 	// Seed drives phase stagger, wake latency, and one-shot times.
 	Seed int64
@@ -162,8 +163,8 @@ func (c Config) validate() error {
 	switch {
 	case c.Duration <= 0:
 		return fmt.Errorf("sim: non-positive duration %v", c.Duration)
-	case c.Beta <= 0:
-		return fmt.Errorf("sim: non-positive beta %v", c.Beta)
+	case c.Beta <= 0 || c.Beta >= 1:
+		return fmt.Errorf("sim: grace factor beta %v outside (0, 1)", c.Beta)
 	case len(c.Workload) == 0 && !c.SystemAlarms && c.OneShots == 0:
 		return fmt.Errorf("sim: empty workload")
 	case c.OneShots < 0:

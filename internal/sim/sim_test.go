@@ -22,6 +22,7 @@ func TestConfigValidation(t *testing.T) {
 		{}, // empty workload
 		{Workload: apps.LightWorkload(), Duration: -1},
 		{Workload: apps.LightWorkload(), Beta: -0.5},
+		{Workload: apps.LightWorkload(), Beta: 1},
 		{Workload: apps.LightWorkload(), OneShots: -1},
 	}
 	for i, cfg := range bad {

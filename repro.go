@@ -86,9 +86,9 @@ type (
 	// distributions over app mixes, rates, battery capacity, and faults
 	// (see internal/fleet).
 	FleetSpec = fleet.Spec
-	// FleetOptions tunes a fleet run: worker count, shard size, and the
-	// progress layers (per-device folds, per-run completions, periodic
-	// aggregate snapshots — the hooks cmd/wakesimd streams over SSE).
+	// FleetOptions tunes a fleet run: worker count and the progress
+	// layers (per-device folds, per-run completions, periodic aggregate
+	// snapshots — the hooks cmd/wakesimd streams over SSE).
 	FleetOptions = fleet.Options
 	// FleetResult is a finished fleet run; Result.Agg.Summary() is its
 	// deterministic JSON aggregate.
@@ -170,7 +170,7 @@ func RunTrials(cfg Config, trials int) ([]*Result, error) { return sim.RunTrials
 
 // RunAll executes independent configurations on a bounded worker pool
 // (GOMAXPROCS workers by default) and returns results in input order,
-// byte-identical to serial execution. The first error cancels the pool.
+// byte-identical to serial execution. The first error stops the pool.
 func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, error) {
 	return sim.RunAll(ctx, cfgs, opts)
 }
@@ -179,7 +179,7 @@ func RunAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*Result, 
 // runs each under the spec's base and test policies on the parallel
 // pool, and streams the results into memory-bounded online aggregates.
 // For a fixed spec the JSON aggregate is byte-identical across worker
-// counts and shard sizes. On a mid-fleet failure the returned result
+// counts. On a mid-fleet failure the returned result
 // is non-nil alongside the error and carries the aggregate over every
 // device folded before the failure; only a spec that fails validation
 // returns a nil result.
