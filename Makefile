@@ -11,7 +11,9 @@
 #                   single-shot pass over the microbenchmarks: smoke,
 #                   not measurement), and wakebench-test (vet and tests
 #                   of the cmd/wakebench module, which the root
-#                   `go test ./...` does not reach).
+#                   `go test ./...` does not reach). hammer, fuzz-smoke
+#                   and kill-a-worker first fail on any entry of their
+#                   test lists that selects no test.
 #   make test     — tier-1 tests only (what CI must keep green).
 #   make cover    — per-package coverage with a floor on the core
 #                   packages (internal/alarm, internal/sim,
@@ -70,6 +72,30 @@ HAMMERPKGS = ./internal/pool/ ./internal/simclock/ ./internal/sim/ ./internal/fl
 empty :=
 space := $(empty) $(empty)
 
+# The shard supervisor's crash, poison, hang and resume tests.
+KILLTESTS = TestRunSurvivesTransientFaults TestRunQuarantinesPoisonShard \
+	TestRunKillsHungWorker TestCheckpointResumeRunsOnlyMissingShards
+
+# selects fails, naming each one, on an entry of $(2) that selects no
+# test in the packages $(1): go test passes when its -run or -fuzz
+# pattern matches nothing, so a renamed test would silently drop out of
+# its target. An entry pkg:Name must be a test, fuzz target or example
+# of pkg; a bare entry is a -run pattern that must match one in any of
+# $(1). One go test -list pass lists them all.
+define selects
+@listed=$$($(GO) test -list '.*' $(1)) || { echo "$$listed"; exit 1; }; \
+	pairs=$$(echo "$$listed" | awk '/^(ok|\?)[ \t]/ { for (i = 0; i < n; i++) print $$2, name[i]; n = 0; next } !/^Benchmark/ { name[n++] = $$0 }'); \
+	missing=; \
+	for e in $(2); do \
+		case $$e in \
+		*:*) d=$${e%%:*}; d=$${d#.}; d=$${d#/}; d=$${d%/}; \
+			echo "$$pairs" | grep -qxF "$(shell $(GO) list -m)$${d:+/$$d} $${e#*:}";; \
+		*) echo "$$pairs" | cut -d' ' -f2 | grep -qE -- "$$e";; \
+		esac || missing="$$missing $$e"; \
+	done; \
+	if [ -n "$$missing" ]; then echo "$@: these entries select no test:$$missing"; exit 1; fi
+endef
+
 # Coverage floor (percent) for the core packages.
 COVERMIN ?= 70
 COVERPKGS = ./internal/pool/ ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
@@ -80,16 +106,19 @@ race:
 	$(GO) test -race ./...
 
 hammer:
+	$(call selects,$(HAMMERPKGS),$(HAMMERTESTS))
 	$(GO) test -race -count=2 -run '$(subst $(space),|,$(strip $(HAMMERTESTS)))' $(strip $(HAMMERPKGS))
 
 fuzz-smoke:
+	$(call selects,$(sort $(foreach t,$(FUZZTARGETS),$(firstword $(subst :, ,$(t))))),$(FUZZTARGETS))
 	@for t in $(FUZZTARGETS); do \
 		echo "fuzz $$t for $(FUZZTIME)"; \
 		$(GO) test $${t%%:*}/ -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 kill-a-worker:
-	$(GO) test -count=1 -run 'TestRunSurvivesTransientFaults|TestRunQuarantinesPoisonShard|TestRunKillsHungWorker|TestCheckpointResumeRunsOnlyMissingShards' ./internal/shardexec/
+	$(call selects,./internal/shardexec/,$(addprefix ./internal/shardexec/:,$(KILLTESTS)))
+	$(GO) test -count=1 -run '$(subst $(space),|,$(strip $(KILLTESTS)))' ./internal/shardexec/
 
 bench-smoke:
 	$(GO) test ./internal/alarm/ -run '^$$' -bench 'Queue(Insert|Find|PopDue|Realign)' -benchtime=1x -short -timeout 10m

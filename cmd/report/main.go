@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 
@@ -83,8 +82,8 @@ func (o *options) validate() error {
 	if o.trials < 1 {
 		return fmt.Errorf("-trials %d: want at least one trial", o.trials)
 	}
-	if !(o.hours > 0) || math.IsInf(o.hours, 0) { // !(x>0) also catches NaN
-		return fmt.Errorf("-hours %v: want a positive finite horizon", o.hours)
+	if _, err := simclock.Horizon(o.hours); err != nil {
+		return fmt.Errorf("-hours: %w", err)
 	}
 	switch o.format {
 	case "text", "markdown", "csv":
@@ -138,10 +137,14 @@ func fail(err error) {
 // progress (when enabled) goes to errw. Every failure comes back as an
 // error for main's one-line exit path.
 func (o *options) run(w, errw io.Writer) error {
+	horizon, err := simclock.Horizon(o.hours)
+	if err != nil {
+		return fmt.Errorf("-hours: %w", err)
+	}
 	ropts := report.Options{
 		Trials:       o.trials,
 		Seed:         o.seed,
-		Duration:     simclock.Duration(o.hours * float64(simclock.Hour)),
+		Duration:     horizon,
 		Workers:      o.workers,
 		FleetDevices: o.devices,
 		Procs:        o.procs,

@@ -46,6 +46,7 @@ func TestValidateFlags(t *testing.T) {
 		{"negative hours", []string{"-hours", "-3"}, "-hours"},
 		{"NaN hours", []string{"-hours", "NaN"}, "-hours"},
 		{"infinite hours", []string{"-hours", "Inf"}, "-hours"},
+		{"hours past the cap", []string{"-hours", "10001"}, "-hours"},
 		{"unknown format", []string{"-format", "yaml"}, "unknown format"},
 		{"misspelled format", []string{"-format", "markdwon"}, "unknown format"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers"},

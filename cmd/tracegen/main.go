@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"text/tabwriter"
@@ -100,8 +99,8 @@ func (o *options) validate(explicit map[string]bool) error {
 			return fmt.Errorf("-dynamic %v: want a fraction in [0,1]", o.dynamicFrac)
 		}
 	}
-	if !(o.hours > 0) || math.IsInf(o.hours, 0) {
-		return fmt.Errorf("-hours %v: want a positive finite horizon", o.hours)
+	if _, err := simclock.Horizon(o.hours); err != nil {
+		return fmt.Errorf("-hours: %w", err)
 	}
 	if _, err := sim.PolicyByName(o.policy); err != nil {
 		return err
@@ -205,10 +204,14 @@ func (o *options) execute(stdout io.Writer) error {
 	if !o.run {
 		return nil
 	}
+	horizon, err := simclock.Horizon(o.hours)
+	if err != nil {
+		return fmt.Errorf("-hours: %w", err)
+	}
 	cmp, err := sim.Compare(sim.Config{
 		Workload:     specs,
 		SystemAlarms: true,
-		Duration:     simclock.Duration(o.hours * float64(simclock.Hour)),
+		Duration:     horizon,
 		Seed:         o.seed,
 	}, "NATIVE", o.policy)
 	if err != nil {

@@ -57,6 +57,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"zero hours", []string{"-hours", "0"}, "-hours"},
 		{"negative hours", []string{"-hours", "-3"}, "-hours"},
 		{"infinite hours", []string{"-hours", "+Inf"}, "-hours"},
+		{"hours past the cap", []string{"-hours", "10001"}, "-hours"},
 		{"unknown policy", []string{"-policy", "BOGUS"}, "unknown policy"},
 
 		{"from with apps", []string{"-from", "t.json", "-apps", "10"}, "-apps"},

@@ -8,7 +8,7 @@
 //	        [-pushes 0] [-screens 0] [-backend] [-shed 0.05] [-alignedphases]
 //	        [-leak apps] [-leaknever apps] [-storm app:period_s[:count]]
 //	        [-trace out.csv] [-json out.json] [-timeline MIN] [-anomaly]
-//	        [-toempty] [-notrace] [-v]
+//	        [-toempty] [-v]
 //	wakesim -fleet N [-fleetspec file.json] [-workers 0] [-json agg.json]
 //	        [-policy SIMTY] [-hours 3] [-beta 0.96] [-seed 0]
 //	        [-procs P [-checkpoint run.ckpt [-resume]]]
@@ -38,11 +38,9 @@
 //
 // The trace-export flags (-trace, -json, -timeline, -anomaly) work in
 // both fixed-horizon and -toempty mode; a run-to-empty trace covers the
-// entire discharge. -notrace runs the simulation in the no-trace fast
-// mode — no records or trace are retained, every printed metric is
-// unchanged — and therefore conflicts with the export flags and -v.
-// Fleet runs always use the fast mode (their aggregate is streamed), so
-// -notrace is redundant there and rejected.
+// entire discharge. A run that neither exports a trace nor prints -v's
+// per-app counts uses the no-trace fast mode: it retains no records or
+// trace, and every printed number is the same either way.
 //
 // -backend co-simulates the push/sync backend (see internal/backend):
 // every wake pays a reconnect latency, Wi-Fi deliveries become backend
@@ -111,7 +109,6 @@ type options struct {
 	storm       string
 	traceCSV    string
 	traceJSON   string
-	noTrace     bool
 	detect      bool
 	toEmpty     bool
 	timeline    int
@@ -146,7 +143,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.storm, "storm", "", "alarm storm spec app:period_s[:count], e.g. rogue:5")
 	fs.StringVar(&o.traceCSV, "trace", "", "write the event trace as CSV to this file")
 	fs.StringVar(&o.traceJSON, "json", "", "write the event trace (or, in fleet mode, the aggregate) as JSON to this file")
-	fs.BoolVar(&o.noTrace, "notrace", false, "run in the no-trace fast mode: skip record retention (metrics are unchanged)")
 	fs.BoolVar(&o.detect, "anomaly", false, "scan the run for no-sleep energy bugs")
 	fs.BoolVar(&o.toEmpty, "toempty", false, "simulate from full battery until empty (measures standby time directly)")
 	fs.IntVar(&o.timeline, "timeline", 0, "render the first N minutes as an ASCII timeline")
@@ -223,8 +219,8 @@ func (o *options) validate(explicit map[string]bool) error {
 			return err
 		}
 	}
-	if !(o.hours > 0) || math.IsInf(o.hours, 0) { // !(x>0) also catches NaN
-		return fmt.Errorf("-hours %v: want a positive finite horizon", o.hours)
+	if _, err := simclock.Horizon(o.hours); err != nil {
+		return fmt.Errorf("-hours: %w", err)
 	}
 	if !(o.beta > 0 && o.beta < 1) {
 		return fmt.Errorf("-beta %v: the grace factor must lie in (0,1)", o.beta)
@@ -246,18 +242,6 @@ func (o *options) validate(explicit map[string]bool) error {
 	}
 	if !(o.shed >= 0 && o.shed < 1) {
 		return fmt.Errorf("-shed %v: the shed rate must lie in [0, 1)", o.shed)
-	}
-	if o.noTrace {
-		if o.fleetMode() {
-			return fmt.Errorf("-notrace does not apply to a fleet run: fleets already use the no-trace fast mode")
-		}
-		// Everything that consumes the event trace or the raw records
-		// needs them retained.
-		for _, f := range []string{"trace", "json", "timeline", "anomaly", "v"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s needs the trace: it conflicts with -notrace", f)
-			}
-		}
 	}
 	if _, err := o.faultPlan(); err != nil {
 		return err
@@ -347,20 +331,27 @@ func (o *options) config(specs []apps.Spec, name string) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
+	horizon, err := simclock.Horizon(o.hours)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("-hours: %w", err)
+	}
+	// The trace exports need the trace and -v the records; every other
+	// run keeps neither.
+	export := o.traceCSV != "" || o.traceJSON != "" || o.detect || o.timeline > 0
 	cfg := sim.Config{
 		Name:                  name,
 		Policy:                o.policy,
 		Workload:              specs,
 		SystemAlarms:          o.system,
 		OneShots:              o.oneshots,
-		Duration:              simclock.Duration(o.hours * float64(simclock.Hour)),
+		Duration:              horizon,
 		Beta:                  o.beta,
 		Seed:                  o.seed,
 		PushesPerHour:         o.pushes,
 		ScreenSessionsPerHour: o.screens,
 		Faults:                plan,
-		NoTrace:               o.noTrace,
-		CollectTrace:          o.traceCSV != "" || o.traceJSON != "" || o.detect || o.timeline > 0,
+		NoTrace:               !export && !o.verbose,
+		CollectTrace:          export,
 		AlignedPhases:         o.aligned,
 	}
 	if o.backend {
@@ -577,7 +568,7 @@ func (o *options) exportArtifacts(w io.Writer, lg *trace.Logger, end simclock.Ti
 	}
 
 	if o.detect {
-		findings := (&anomaly.Detector{}).Analyze(lg.Events(), end)
+		findings := anomaly.Analyze(lg.Events(), end)
 		if len(findings) == 0 {
 			fmt.Fprintln(w, "\nanomaly scan: clean — no suspicious wakelock holds")
 		} else {

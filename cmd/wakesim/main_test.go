@@ -85,6 +85,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"zero hours", []string{"-hours", "0"}, "-hours"},
 		{"negative hours", []string{"-hours", "-3"}, "-hours"},
 		{"NaN hours", []string{"-hours", "NaN"}, "-hours"},
+		{"hours past the cap", []string{"-hours", "10001"}, "-hours"},
 		{"beta zero", []string{"-beta", "0"}, "-beta"},
 		{"beta one", []string{"-beta", "1"}, "-beta"},
 		{"beta NaN", []string{"-beta", "NaN"}, "-beta"},
@@ -100,14 +101,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"storm bad count", []string{"-storm", "rogue:5:x"}, "-storm"},
 		{"storm negative count", []string{"-storm", "rogue:5:-1"}, "-storm"},
 		{"storm too many fields", []string{"-storm", "a:b:c:d"}, "-storm"},
-		{"notrace alone", []string{"-notrace"}, ""},
-		{"notrace with toempty", []string{"-notrace", "-toempty"}, ""},
-		{"notrace with trace", []string{"-notrace", "-trace", "t.csv"}, "-trace"},
-		{"notrace with json", []string{"-notrace", "-json", "t.json"}, "-json"},
-		{"notrace with timeline", []string{"-notrace", "-timeline", "5"}, "-timeline"},
-		{"notrace with anomaly", []string{"-notrace", "-anomaly"}, "-anomaly"},
-		{"notrace with verbose", []string{"-notrace", "-v"}, "-v"},
-		{"notrace with fleet", []string{"-fleet", "10", "-notrace"}, "-notrace"},
 
 		{"backend alone", []string{"-backend"}, ""},
 		{"backend with shed", []string{"-backend", "-shed", "0.1"}, ""},

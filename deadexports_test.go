@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,6 +36,13 @@ var exportKeep = map[string]string{
 	"metrics.AdjacentIntervals": "checks the §3.2.2 spacing bounds of sim.Run's deliveries (TestAdjacentIntervalBounds)",
 }
 
+// optionKeep names the exported option fields of internal/* that no
+// non-test file outside their own package sets yet stay, each with its
+// reason.
+var optionKeep = map[string]string{
+	"shardexec.Options.WorkerTimeout": "the hung-worker deadline the commands are still to set; TestRunKillsHungWorker exercises it",
+}
+
 // listedPackage is the part of one `go list -json` record the audit reads.
 type listedPackage struct {
 	ImportPath string
@@ -42,33 +51,35 @@ type listedPackage struct {
 }
 
 // goList lists the packages of the module rooted at dir.
-func goList(t *testing.T, dir string) []listedPackage {
-	t.Helper()
+func goList(dir string) ([]listedPackage, error) {
 	cmd := exec.Command("go", "list", "-json", "./...")
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v", dir, err)
+		return nil, fmt.Errorf("go list in %s: %v", dir, err)
 	}
 	var pkgs []listedPackage
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
+			return nil, fmt.Errorf("go list in %s: %v", dir, err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 // exportAudit type-checks the repository's non-test files and records
-// every object an identifier in them refers to.
+// every object an identifier in them refers to, and every struct field
+// they write from outside the field's own package.
 type exportAudit struct {
 	fset    *token.FileSet
 	listed  map[string]listedPackage
+	paths   []string // every listed import path, sorted
 	std     types.Importer
 	checked map[string]*types.Package
 	used    map[types.Object]bool
+	written map[*types.Var]bool
 }
 
 // Import resolves a repository package by type-checking its non-test
@@ -97,8 +108,88 @@ func (a *exportAudit) Import(path string) (*types.Package, error) {
 	for _, obj := range info.Uses {
 		a.used[obj] = true
 	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			for _, id := range writtenIdents(n) {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != pkg {
+					a.written[v] = true
+				}
+			}
+			return true
+		})
+	}
 	a.checked[path] = pkg
 	return pkg, nil
+}
+
+// writtenIdents returns the identifiers n writes through: a composite
+// literal's keys, and the selected names on the left of an assignment
+// or an increment.
+func writtenIdents(n ast.Node) []*ast.Ident {
+	var targets []ast.Expr
+	switch n := n.(type) {
+	case *ast.KeyValueExpr:
+		if id, ok := n.Key.(*ast.Ident); ok {
+			return []*ast.Ident{id}
+		}
+	case *ast.AssignStmt:
+		targets = n.Lhs
+	case *ast.IncDecStmt:
+		targets = []ast.Expr{n.X}
+	}
+	var ids []*ast.Ident
+	for _, e := range targets {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			ids = append(ids, sel.Sel)
+		}
+	}
+	return ids
+}
+
+var (
+	auditOnce sync.Once
+	audit     *exportAudit
+	auditErr  error
+)
+
+// loadAudit type-checks every non-test file of the module and of the
+// cmd/wakebench module, once per test binary, for the audits below.
+func loadAudit(t *testing.T) *exportAudit {
+	t.Helper()
+	auditOnce.Do(func() {
+		fset := token.NewFileSet()
+		a := &exportAudit{
+			fset:    fset,
+			listed:  map[string]listedPackage{},
+			std:     importer.ForCompiler(fset, "source", nil),
+			checked: map[string]*types.Package{},
+			used:    map[types.Object]bool{},
+			written: map[*types.Var]bool{},
+		}
+		for _, dir := range []string{".", filepath.Join("cmd", "wakebench")} {
+			pkgs, err := goList(dir)
+			if err != nil {
+				auditErr = err
+				return
+			}
+			for _, p := range pkgs {
+				a.listed[p.ImportPath] = p
+				a.paths = append(a.paths, p.ImportPath)
+			}
+		}
+		sort.Strings(a.paths)
+		for _, path := range a.paths {
+			if _, err := a.Import(path); err != nil {
+				auditErr = fmt.Errorf("type-check %s: %v", path, err)
+				return
+			}
+		}
+		audit = a
+	})
+	if auditErr != nil {
+		t.Fatal(auditErr)
+	}
+	return audit
 }
 
 // TestInternalExportsHaveCallers fails on an exported package-level
@@ -108,28 +199,8 @@ func (a *exportAudit) Import(path string) (*types.Package, error) {
 // entry. Methods and fields are out of its scope: interface
 // satisfaction calls them without naming them.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	a := &exportAudit{
-		fset:    fset,
-		listed:  map[string]listedPackage{},
-		std:     importer.ForCompiler(fset, "source", nil),
-		checked: map[string]*types.Package{},
-		used:    map[types.Object]bool{},
-	}
-	var paths []string
-	for _, dir := range []string{".", filepath.Join("cmd", "wakebench")} {
-		for _, p := range goList(t, dir) {
-			a.listed[p.ImportPath] = p
-			paths = append(paths, p.ImportPath)
-		}
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, err := a.Import(path); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
-		}
-	}
-	for _, path := range paths {
+	a := loadAudit(t)
+	for _, path := range a.paths {
 		short, internal := strings.CutPrefix(path, "repro/internal/")
 		if !internal {
 			continue
@@ -154,6 +225,54 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		pkg, name, _ := strings.Cut(id, ".")
 		if p := a.checked["repro/internal/"+pkg]; p == nil || p.Scope().Lookup(name) == nil {
 			t.Errorf("exportKeep entry %s names no identifier of internal/*", id)
+		}
+	}
+}
+
+// TestOptionsHaveSetters fails on an exported field of an exported
+// internal/* struct named Config or ending in Options that no non-test
+// file outside the field's own package writes — as a composite-literal
+// key, an assignment or ++/-- — unless optionKeep names it, and on a
+// stale optionKeep entry. An option that only its own package's tests
+// set belongs unexported; one that nothing sets belongs deleted.
+func TestOptionsHaveSetters(t *testing.T) {
+	a := loadAudit(t)
+	fields := map[string]bool{}
+	for _, path := range a.paths {
+		short, internal := strings.CutPrefix(path, "repro/internal/")
+		if !internal {
+			continue
+		}
+		scope := a.checked[path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || (name != "Config" && !strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				id := short + "." + name + "." + f.Name()
+				fields[id] = true
+				_, keep := optionKeep[id]
+				switch {
+				case keep && a.written[f]:
+					t.Errorf("optionKeep entry %s is stale: a non-test file outside %s sets it", id, short)
+				case !keep && !a.written[f]:
+					t.Errorf("%s: no non-test file outside %s sets it; unexport it if only tests set it, delete it if nothing does, or add it to optionKeep with the reason it stays", id, short)
+				}
+			}
+		}
+	}
+	for id := range optionKeep {
+		if !fields[id] {
+			t.Errorf("optionKeep entry %s names no option field of internal/*", id)
 		}
 	}
 }

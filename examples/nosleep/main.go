@@ -46,8 +46,7 @@ func main() {
 	fmt.Printf("  the bug costs %.1f× the healthy standby energy\n\n",
 		sick.Energy.TotalMJ()/healthy.Energy.TotalMJ())
 
-	det := &anomaly.Detector{}
-	findings := det.Analyze(sick.Trace.Events(), repro.Time(sick.Config.Duration))
+	findings := anomaly.Analyze(sick.Trace.Events(), repro.Time(sick.Config.Duration))
 	fmt.Printf("detector findings (%d):\n", len(findings))
 	for _, f := range findings {
 		fmt.Printf("  %s\n", f)

@@ -62,40 +62,27 @@ func (f Finding) String() string {
 		f.Kind, f.Component, f.Held, f.Since, f.Until, f.Suspects)
 }
 
-// Detector scans traces for no-sleep anomalies.
-type Detector struct {
-	// Threshold is the longest acceptable single powered stretch.
-	// Zero means the 60 s default — far above any legitimate task in the
-	// paper's workloads (the longest is a ~3.5 s WPS fix plus tail).
-	Threshold simclock.Duration
-}
-
-// DefaultThreshold is used when Detector.Threshold is zero.
+// DefaultThreshold is the longest acceptable single powered stretch:
+// far above any legitimate task in the paper's workloads (the longest
+// is a ~3.5 s WPS fix plus tail).
 const DefaultThreshold = 60 * simclock.Second
-
-func (d *Detector) threshold() simclock.Duration {
-	if d.Threshold <= 0 {
-		return DefaultThreshold
-	}
-	return d.Threshold
-}
 
 // openTask is a tagged task that has started but not yet ended.
 type openTask struct {
-	tag   string
-	set   hw.Set
-	start simclock.Time
+	tag string
+	set hw.Set
 }
 
-// Analyze scans the event log (chronological) and returns findings
-// sorted by severity (longest hold first). horizon is the end of the
-// observed run, used to close still-open stretches.
+// Analyze scans the event log (chronological) for no-sleep anomalies
+// and returns findings sorted by severity (longest hold first): a
+// stretch longer than DefaultThreshold is held too long. horizon is the
+// end of the observed run, used to close still-open stretches.
 //
 // Attribution uses two signals: tagged task events (the wakelock tags
 // Android carries) identify owners precisely — a task still holding the
 // component when the stretch closes is a primary suspect; delivery
 // records give a recency-ordered fallback for untagged traces.
-func (d *Detector) Analyze(events []trace.Event, horizon simclock.Time) []Finding {
+func Analyze(events []trace.Event, horizon simclock.Time) []Finding {
 	type open struct {
 		since     simclock.Time
 		delivered []string
@@ -110,7 +97,7 @@ func (d *Detector) Analyze(events []trace.Event, horizon simclock.Time) []Findin
 
 	closeStretch := func(c hw.Component, o *open, until simclock.Time, kind Kind) {
 		held := until.Sub(o.since)
-		if kind == HeldTooLong && held <= d.threshold() {
+		if kind == HeldTooLong && held <= DefaultThreshold {
 			return
 		}
 		if kind == NeverReleased && held <= 0 {
@@ -153,7 +140,7 @@ func (d *Detector) Analyze(events []trace.Event, horizon simclock.Time) []Findin
 				delete(opens, e.Component)
 			}
 		case trace.EventTaskStart:
-			tasks = append(tasks, openTask{tag: e.Tag, set: e.Set, start: e.At})
+			tasks = append(tasks, openTask{tag: e.Tag, set: e.Set})
 		case trace.EventTaskEnd:
 			for i := len(tasks) - 1; i >= 0; i-- {
 				if tasks[i].tag == e.Tag && tasks[i].set == e.Set {

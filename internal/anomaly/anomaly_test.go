@@ -33,8 +33,7 @@ func TestCleanTraceNoFindings(t *testing.T) {
 		on(100*sec, hw.WPS),
 		off(104*sec, hw.WPS),
 	}
-	d := &Detector{}
-	if got := d.Analyze(events, simclock.Time(200*sec)); len(got) != 0 {
+	if got := Analyze(events, simclock.Time(200*sec)); len(got) != 0 {
 		t.Fatalf("clean trace produced findings: %v", got)
 	}
 }
@@ -45,8 +44,7 @@ func TestHeldTooLong(t *testing.T) {
 		delivery(10*sec, "BuggyApp", hw.MakeSet(hw.WiFi)),
 		off(200*sec, hw.WiFi), // 190 s > 60 s default threshold
 	}
-	d := &Detector{}
-	got := d.Analyze(events, simclock.Time(300*sec))
+	got := Analyze(events, simclock.Time(300*sec))
 	if len(got) != 1 {
 		t.Fatalf("findings = %v", got)
 	}
@@ -67,25 +65,12 @@ func TestNeverReleased(t *testing.T) {
 		on(50*sec, hw.WPS),
 		delivery(50*sec, "Tracker", hw.MakeSet(hw.WPS)),
 	}
-	d := &Detector{}
-	got := d.Analyze(events, simclock.Time(500*sec))
+	got := Analyze(events, simclock.Time(500*sec))
 	if len(got) != 1 || got[0].Kind != NeverReleased {
 		t.Fatalf("findings = %v", got)
 	}
 	if got[0].Until != simclock.Time(500*sec) || got[0].Held != 450*sec {
 		t.Fatalf("finding = %+v", got[0])
-	}
-}
-
-func TestThresholdConfigurable(t *testing.T) {
-	events := []trace.Event{on(0, hw.WiFi), off(30*sec, hw.WiFi)}
-	loose := &Detector{Threshold: 40 * sec}
-	if got := loose.Analyze(events, simclock.Time(100*sec)); len(got) != 0 {
-		t.Fatalf("loose detector flagged a 30 s hold: %v", got)
-	}
-	strict := &Detector{Threshold: 10 * sec}
-	if got := strict.Analyze(events, simclock.Time(100*sec)); len(got) != 1 {
-		t.Fatalf("strict detector missed a 30 s hold: %v", got)
 	}
 }
 
@@ -97,7 +82,7 @@ func TestSuspectsDedupedMostRecentFirst(t *testing.T) {
 		delivery(3*sec, "A", hw.MakeSet(hw.WiFi)),
 		off(200*sec, hw.WiFi),
 	}
-	got := (&Detector{}).Analyze(events, simclock.Time(300*sec))
+	got := Analyze(events, simclock.Time(300*sec))
 	if len(got) != 1 {
 		t.Fatalf("findings = %v", got)
 	}
@@ -112,7 +97,7 @@ func TestFindingsSortedBySeverity(t *testing.T) {
 		on(0, hw.WiFi), off(100*sec, hw.WiFi), // 100 s
 		on(0, hw.WPS), off(300*sec, hw.WPS), // 300 s
 	}
-	got := (&Detector{}).Analyze(events, simclock.Time(400*sec))
+	got := Analyze(events, simclock.Time(400*sec))
 	if len(got) != 2 || got[0].Component != hw.WPS || got[1].Component != hw.WiFi {
 		t.Fatalf("ordering = %v", got)
 	}
@@ -124,7 +109,7 @@ func TestDeliveryOutsideStretchNotSuspected(t *testing.T) {
 		on(10*sec, hw.WiFi),
 		off(200*sec, hw.WiFi),
 	}
-	got := (&Detector{}).Analyze(events, simclock.Time(300*sec))
+	got := Analyze(events, simclock.Time(300*sec))
 	if len(got) != 1 || len(got[0].Suspects) != 0 {
 		t.Fatalf("findings = %v", got)
 	}
@@ -158,7 +143,7 @@ func TestTaggedTaskAttribution(t *testing.T) {
 		taskEnd(7*sec, "healthy", wifi),
 		// leaky never ends; component never off.
 	}
-	got := (&Detector{}).Analyze(events, simclock.Time(600*sec))
+	got := Analyze(events, simclock.Time(600*sec))
 	if len(got) != 1 {
 		t.Fatalf("findings = %v", got)
 	}
@@ -188,7 +173,7 @@ func TestTaskEndMatchesNewestInstance(t *testing.T) {
 		taskStart(1*sec, "app", wifi),
 		taskEnd(2*sec, "app", wifi),
 	}
-	got := (&Detector{}).Analyze(events, simclock.Time(600*sec))
+	got := Analyze(events, simclock.Time(600*sec))
 	if len(got) != 1 {
 		t.Fatalf("findings = %v", got)
 	}
@@ -204,7 +189,7 @@ func TestUntaggedTasksIgnoredAsPrimary(t *testing.T) {
 		taskStart(0, "", wifi), // untagged (plain RunTask)
 		delivery(1*sec, "SomeApp", wifi),
 	}
-	got := (&Detector{}).Analyze(events, simclock.Time(600*sec))
+	got := Analyze(events, simclock.Time(600*sec))
 	if len(got) != 1 {
 		t.Fatalf("findings = %v", got)
 	}

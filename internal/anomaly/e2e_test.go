@@ -32,7 +32,7 @@ func TestDetectInjectedNoSleepBug(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	findings := (&Detector{}).Analyze(r.Trace.Events(), simclock.Time(r.Config.Duration))
+	findings := Analyze(r.Trace.Events(), simclock.Time(r.Config.Duration))
 	if len(findings) == 0 {
 		t.Fatal("no-sleep bug not detected")
 	}
@@ -62,7 +62,7 @@ func TestDetectInjectedNoSleepBug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := (&Detector{}).Analyze(hr.Trace.Events(), simclock.Time(r.Config.Duration)); len(fs) != 0 {
+	if fs := Analyze(hr.Trace.Events(), simclock.Time(r.Config.Duration)); len(fs) != 0 {
 		t.Fatalf("healthy workload produced findings: %v", fs)
 	}
 }

@@ -32,7 +32,7 @@ func TestDetectFaultPlanLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return (&Detector{}).Analyze(r.Trace.Events(), simclock.Time(r.Config.Duration)), r
+		return Analyze(r.Trace.Events(), simclock.Time(r.Config.Duration)), r
 	}
 
 	findings, r := run()
@@ -81,7 +81,7 @@ func TestDetectFaultPlanHeldTooLong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := (&Detector{}).Analyze(r.Trace.Events(), simclock.Time(r.Config.Duration))
+	findings := Analyze(r.Trace.Events(), simclock.Time(r.Config.Duration))
 	if len(findings) == 0 {
 		t.Fatal("held-too-long leak not detected")
 	}

@@ -25,12 +25,10 @@ const DefaultFreshFactor = 0.5
 type AoIAware struct {
 	// Inner supplies search and ranking (SIMTY).
 	Inner *Simty
-	// Fresh is the staleness budget as a fraction of the period.
-	Fresh float64
 }
 
-// NewAoIAware returns the AOI policy with the default freshness budget.
-func NewAoIAware() *AoIAware { return &AoIAware{Inner: NewSimty(), Fresh: DefaultFreshFactor} }
+// NewAoIAware returns the AOI policy.
+func NewAoIAware() *AoIAware { return &AoIAware{Inner: NewSimty()} }
 
 // Name implements alarm.Policy.
 func (p *AoIAware) Name() string { return "AOI" }
@@ -71,12 +69,12 @@ func (p *AoIAware) freshOK(e *alarm.Entry, a *alarm.Alarm) bool {
 }
 
 // fresh reports whether delivering m at instant at respects m's cap:
-// max(window, Fresh × period) past its nominal time.
+// max(window, DefaultFreshFactor × period) past its nominal time.
 func (p *AoIAware) fresh(m *alarm.Alarm, at simclock.Time) bool {
 	if m.Perceptible() {
 		return true
 	}
-	budget := simclock.Duration(p.Fresh * float64(m.Period))
+	budget := simclock.Duration(DefaultFreshFactor * float64(m.Period))
 	if budget < m.Window {
 		budget = m.Window
 	}

@@ -62,14 +62,14 @@ func TestUserAwareExtensionBounded(t *testing.T) {
 	n := imp("new", 150*sec, 1000*sec, 100*sec, 800*sec, wifi)
 	u := NewUserAware(nightUntil(23 * simclock.Hour))
 	if got := u.Select([]*alarm.Entry{e}, n, 0); got != -1 {
-		t.Fatalf("UserAware chose %d, want -1 (beyond Extend)", got)
+		t.Fatalf("UserAware chose %d, want -1 (beyond DefaultNightExtend)", got)
 	}
 	// Members are bounded too: joining must not drag the resident alarm
-	// more than Extend past its own grace end.
+	// more than DefaultNightExtend past its own grace end.
 	e2 := entryOf(imp("b", 100*sec, 1000*sec, 50*sec, 200*sec, wifi)) // grace ends 300 s
 	late := imp("late", 5000*sec, 50000*sec, 100*sec, 40000*sec, wifi)
 	if got := u.Select([]*alarm.Entry{e2}, late, 0); got != -1 {
-		t.Fatalf("UserAware chose %d, want -1 (member dragged beyond Extend)", got)
+		t.Fatalf("UserAware chose %d, want -1 (member dragged beyond DefaultNightExtend)", got)
 	}
 }
 
@@ -94,7 +94,8 @@ func TestUserAwareNeverExtendsPerceptible(t *testing.T) {
 
 // The quick.Check form of the satellite invariant: whenever UserAware
 // joins an entry SIMTY refused, the joined delivery instant is in an
-// inactive phase and within Extend of every member's grace end.
+// inactive phase and within DefaultNightExtend of every member's grace
+// end.
 func TestUserAwareExtensionInvariantQuick(t *testing.T) {
 	wifi := hw.MakeSet(hw.WiFi)
 	day := nightUntil(7 * simclock.Hour)
@@ -116,11 +117,11 @@ func TestUserAwareExtensionInvariantQuick(t *testing.T) {
 		if day.ActiveAt(newStart) {
 			return false
 		}
-		if newStart > n.GraceEnd().Add(u.Extend) {
+		if newStart > n.GraceEnd().Add(DefaultNightExtend) {
 			return false
 		}
 		for _, m := range e.Alarms {
-			if newStart > m.GraceEnd().Add(u.Extend) {
+			if newStart > m.GraceEnd().Add(DefaultNightExtend) {
 				return false
 			}
 		}

@@ -16,24 +16,22 @@ const DefaultNightExtend = 30 * simclock.Minute
 // arXiv 2101.08885 direction sketches: during active phases it is
 // exactly the inner SIMTY (prompt grace-bounded delivery while the user
 // is looking), and while the user is inactive it widens every
-// imperceptible alarm's grace interval by up to Extend — entries that
-// SIMTY must keep apart for lack of grace overlap may then coalesce,
-// trading bounded overnight staleness for fewer night wakeups.
-// Perceptible alarms are never widened, in any phase (§3.2.2's window
-// guarantee stays hard).
+// imperceptible alarm's grace interval by up to DefaultNightExtend —
+// entries that SIMTY must keep apart for lack of grace overlap may then
+// coalesce, trading bounded overnight staleness for fewer night
+// wakeups. Perceptible alarms are never widened, in any phase (§3.2.2's
+// window guarantee stays hard).
 type UserAware struct {
 	// Inner makes the baseline batching decisions (SIMTY).
 	Inner *Simty
 	// Day is the activity oracle; the policy widens only when the
 	// prospective delivery instant falls in an inactive phase.
 	Day alarm.ActivityOracle
-	// Extend caps the grace widening.
-	Extend simclock.Duration
 }
 
 // NewUserAware returns SIMTY-U over the given activity oracle.
 func NewUserAware(day alarm.ActivityOracle) *UserAware {
-	return &UserAware{Inner: NewSimty(), Day: day, Extend: DefaultNightExtend}
+	return &UserAware{Inner: NewSimty(), Day: day}
 }
 
 // Name implements alarm.Policy.
@@ -42,8 +40,8 @@ func (u *UserAware) Name() string { return "SIMTY-U" }
 // Select implements alarm.Policy: SIMTY's choice when it finds an
 // applicable entry; otherwise, in inactive phases, the best
 // hardware-similar entry reachable by widening grace intervals by at
-// most Extend. Falling back (rather than re-ranking everything) keeps
-// the active-phase behaviour bit-identical to SIMTY.
+// most DefaultNightExtend. Falling back (rather than re-ranking
+// everything) keeps the active-phase behaviour bit-identical to SIMTY.
 func (u *UserAware) Select(entries []*alarm.Entry, a *alarm.Alarm, now simclock.Time) int {
 	if i := u.Inner.Select(entries, a, now); i >= 0 {
 		return i
@@ -65,11 +63,11 @@ func (u *UserAware) Select(entries []*alarm.Entry, a *alarm.Alarm, now simclock.
 
 // extendable reports whether a may join e by grace widening: both
 // imperceptible, the joined delivery instant in an inactive phase, and
-// every member (and a itself) delivered at most Extend past its own
-// grace end. The instant is strictly before the next active phase by
-// construction — ActiveAt(newStart) is false — so a widened delivery
-// never lands while the user is interacting (the property layer pins
-// this invariant).
+// every member (and a itself) delivered at most DefaultNightExtend past
+// its own grace end. The instant is strictly before the next active
+// phase by construction — ActiveAt(newStart) is false — so a widened
+// delivery never lands while the user is interacting (the property
+// layer pins this invariant).
 func (u *UserAware) extendable(e *alarm.Entry, a *alarm.Alarm) bool {
 	if e.Perceptible {
 		return false
@@ -81,11 +79,11 @@ func (u *UserAware) extendable(e *alarm.Entry, a *alarm.Alarm) bool {
 	if u.Day.ActiveAt(newStart) {
 		return false
 	}
-	if newStart > a.GraceEnd().Add(u.Extend) {
+	if newStart > a.GraceEnd().Add(DefaultNightExtend) {
 		return false
 	}
 	for _, m := range e.Alarms {
-		if newStart > m.GraceEnd().Add(u.Extend) {
+		if newStart > m.GraceEnd().Add(DefaultNightExtend) {
 			return false
 		}
 	}

@@ -122,10 +122,6 @@ type Plan struct {
 	Storms []Storm
 	Jitter Jitter
 	Skews  []Skew
-	// Salt perturbs the injector's RNG stream independently of the run
-	// seed, so fault randomness can be varied without moving the
-	// workload's own phases.
-	Salt int64
 }
 
 // Empty reports whether the plan injects any fault at all.

@@ -56,7 +56,7 @@ func NewInjector(p Plan, seed int64, clock *simclock.Clock, installed []string) 
 	in := &Injector{
 		plan:   p,
 		clock:  clock,
-		rng:    simclock.Rand(seed + rngStream + p.Salt),
+		rng:    simclock.Rand(seed + rngStream),
 		leaks:  make(map[string]*leakState, len(p.Leaks)),
 		skews:  make(map[string]simclock.Duration, len(p.Skews)),
 		skewed: make(map[string]bool, len(p.Skews)),

@@ -199,8 +199,8 @@ func (s Spec) Validate() error {
 	if s.Devices > maxDevices {
 		return fmt.Errorf("fleet: %d devices exceeds the %d cap", s.Devices, maxDevices)
 	}
-	if math.IsNaN(s.Hours) || math.IsInf(s.Hours, 0) || s.Hours <= 0 || s.Hours > 10000 {
-		return fmt.Errorf("fleet: horizon %v h outside (0, 10000]", s.Hours)
+	if _, err := simclock.Horizon(s.Hours); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if math.IsNaN(s.Beta) || !(s.Beta > 0 && s.Beta < 1) {
 		return fmt.Errorf("fleet: grace factor %v outside (0, 1)", s.Beta)
@@ -357,16 +357,18 @@ func (s Spec) sampleDevice(i int, rng *rand.Rand) Device {
 
 // Config assembles the device's run configuration under one policy.
 // Configs of the same device differ only in the policy, so a base/test
-// pair is a controlled comparison.
+// pair is a controlled comparison. Like SampleDevice it expects a
+// validated spec: Validate bounds the horizon Config converts.
 func (s Spec) Config(d Device, policy string) sim.Config {
 	s = s.WithDefaults()
+	horizon, _ := simclock.Horizon(s.Hours) // Validate has bounded Hours
 	cfg := sim.Config{
 		Name:                  fmt.Sprintf("dev%06d", d.Index),
 		Policy:                policy,
 		Workload:              d.Workload,
 		SystemAlarms:          s.SystemAlarms,
 		OneShots:              d.OneShots,
-		Duration:              simclock.Duration(s.Hours * float64(simclock.Hour)),
+		Duration:              horizon,
 		Beta:                  s.Beta,
 		Seed:                  d.Seed,
 		PushesPerHour:         d.PushesPerHour,

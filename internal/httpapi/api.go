@@ -48,26 +48,25 @@ type Options struct {
 	SnapshotEvery int
 	// MaxBody bounds request bodies in bytes; ≤ 0 means 1 MiB.
 	MaxBody int64
-	// Heartbeat is the idle interval between SSE keep-alive comment
-	// frames; ≤ 0 means DefaultHeartbeat. A queued run publishes
-	// nothing until a slot frees, and proxies tear down streams that
-	// stay byte-silent — the comment frames keep the connection alive
-	// without adding events a client has to parse.
-	Heartbeat time.Duration
 	// Procs, when > 0, executes fleets across that many supervised
 	// worker processes (internal/shardexec) instead of in process:
 	// crashed workers are retried, the SSE stream carries "shard"
 	// lifecycle events in place of "run" events, and the summary stays
 	// byte-identical.
 	Procs int
-	// ShardSize is the device range per worker process when Procs > 0;
-	// ≤ 0 means shardexec.DefaultShardSize.
-	ShardSize int
+
+	// heartbeat and shardSize are test seams: ≤ 0 means DefaultHeartbeat
+	// and shardexec.DefaultShardSize.
+	heartbeat time.Duration
+	shardSize int
 }
 
-// DefaultHeartbeat is the idle SSE keep-alive interval when
-// Options.Heartbeat is unset: short enough for common proxy idle
-// timeouts (30–60 s), long enough to cost nothing.
+// DefaultHeartbeat is the idle interval between SSE keep-alive comment
+// frames. A queued run publishes nothing until a slot frees, and
+// proxies tear down streams that stay byte-silent — the comment frames
+// keep the connection alive without adding events a client has to
+// parse. 15 s is short enough for common proxy idle timeouts (30–60 s)
+// and long enough to cost nothing.
 const DefaultHeartbeat = 15 * time.Second
 
 // Server routes the HTTP surface onto a run store.
@@ -83,8 +82,8 @@ func New(store *runstore.Store, opts Options) *Server {
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = 1 << 20
 	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = DefaultHeartbeat
+	if opts.heartbeat <= 0 {
+		opts.heartbeat = DefaultHeartbeat
 	}
 	s := &Server{store: store, opts: opts, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /runs", s.submitRun)
@@ -225,7 +224,7 @@ func (s *Server) fleetExec(spec fleet.Spec) runstore.Exec {
 		var attempts, retries int
 		opts := shardexec.Options{
 			Procs:         s.opts.Procs,
-			ShardSize:     s.opts.ShardSize,
+			ShardSize:     s.opts.shardSize,
 			Workers:       s.opts.Workers,
 			SnapshotEvery: s.opts.SnapshotEvery,
 			Progress: func(done, total int) {

@@ -587,7 +587,7 @@ func TestListAndHealth(t *testing.T) {
 // guaranteed "done" delivery.
 func TestSSEHeartbeatOnIdleStream(t *testing.T) {
 	store := runstore.New(1)
-	ts := httptest.NewServer(New(store, Options{Heartbeat: 20 * time.Millisecond}))
+	ts := httptest.NewServer(New(store, Options{heartbeat: 20 * time.Millisecond}))
 	t.Cleanup(func() {
 		ts.Close()
 		store.CancelAll()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"repro/internal/apps"
 	"repro/internal/sim"
@@ -45,10 +44,6 @@ type RunSpec struct {
 	TaskJitter float64 `json:"task_jitter,omitempty"`
 }
 
-// maxRunHours mirrors the fleet spec's horizon cap: a larger request is
-// a typo, not a workload.
-const maxRunHours = 10_000
-
 // Config resolves the request into a validated sim.Config. Every
 // violation comes back as an error suitable for a 400 — nothing
 // half-built reaches the executor.
@@ -60,8 +55,9 @@ func (rs RunSpec) Config() (sim.Config, error) {
 	if hours == 0 {
 		hours = 3
 	}
-	if math.IsNaN(hours) || math.IsInf(hours, 0) || hours <= 0 || hours > maxRunHours {
-		return sim.Config{}, fmt.Errorf("hours %v outside (0, %d]", hours, maxRunHours)
+	horizon, err := simclock.Horizon(hours)
+	if err != nil {
+		return sim.Config{}, err
 	}
 	seed := rs.Seed
 	if seed == 0 {
@@ -94,7 +90,7 @@ func (rs RunSpec) Config() (sim.Config, error) {
 		Workload:              workload,
 		SystemAlarms:          rs.SystemAlarms,
 		OneShots:              rs.OneShots,
-		Duration:              simclock.Duration(hours * float64(simclock.Hour)),
+		Duration:              horizon,
 		Beta:                  rs.Beta,
 		Seed:                  seed,
 		PushesPerHour:         rs.PushesPerHour,

@@ -54,7 +54,7 @@ func newShardedTestServer(t *testing.T) (*httptest.Server, *runstore.Store) {
 	ts := httptest.NewServer(New(store, Options{
 		SnapshotEvery: 100,
 		Procs:         2,
-		ShardSize:     16,
+		shardSize:     16,
 	}))
 	t.Cleanup(func() {
 		ts.Close()
@@ -166,7 +166,7 @@ func TestFleetSSEEventsFollowExecutionShape(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("procs=%d", tc.procs), func(t *testing.T) {
 			store := runstore.New(1)
-			ts := httptest.NewServer(New(store, Options{SnapshotEvery: 100, Procs: tc.procs, ShardSize: 16}))
+			ts := httptest.NewServer(New(store, Options{SnapshotEvery: 100, Procs: tc.procs, shardSize: 16}))
 			t.Cleanup(func() {
 				ts.Close()
 				store.CancelAll()

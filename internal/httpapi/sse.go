@@ -31,7 +31,7 @@ import (
 //
 // While the stream is idle (a queued run waiting for a slot, a long
 // shard between folds) a keep-alive comment frame (": heartbeat") goes
-// out every Options.Heartbeat so idle-timeout proxies don't sever the
+// out every DefaultHeartbeat so idle-timeout proxies don't sever the
 // stream; comments are invisible to SSE clients, so the event protocol
 // above is unchanged.
 func (s *Server) events(kind string) http.HandlerFunc {
@@ -66,20 +66,20 @@ func (s *Server) events(kind string) http.HandlerFunc {
 		writeSSE(w, "state", stateFrame(run))
 		flusher.Flush()
 
-		heartbeat := time.NewTimer(s.opts.Heartbeat)
+		heartbeat := time.NewTimer(s.opts.heartbeat)
 		defer heartbeat.Stop()
 		for {
 			select {
 			case ev := <-events:
 				writeSSE(w, ev.Type, ev.Data)
 				flusher.Flush()
-				resetTimer(heartbeat, s.opts.Heartbeat)
+				resetTimer(heartbeat, s.opts.heartbeat)
 			case <-heartbeat.C:
 				// Comment frame: keeps the TCP connection warm through
 				// proxies, invisible to EventSource consumers.
 				fmt.Fprint(w, ": heartbeat\n\n")
 				flusher.Flush()
-				heartbeat.Reset(s.opts.Heartbeat)
+				heartbeat.Reset(s.opts.heartbeat)
 			case <-done:
 				// Flush whatever the fold loop published before the end,
 				// then the authoritative terminal frames.

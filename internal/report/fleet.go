@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/shardexec"
@@ -28,6 +29,24 @@ func fleetSpec(o Options) fleet.Spec {
 	}
 }
 
+// fleetProgress adapts a fleet's device progress to o.Progress, nil
+// when o.Progress is: one line per fleet percentile, which keeps
+// -progress readable at 10k devices, named after the fleet and its last
+// device and carrying the wall time since the previous line.
+func fleetProgress(o Options, name string) func(done, total int) {
+	if o.Progress == nil {
+		return nil
+	}
+	last := time.Now()
+	return func(done, total int) {
+		if step := total / 100; step <= 1 || done%step == 0 || done == total {
+			o.Progress(sim.Progress{Done: done, Total: total,
+				Name: fmt.Sprintf("%s dev%06d", name, done-1), Wall: time.Since(last)})
+			last = time.Now()
+		}
+	}
+}
+
 // Fleet scales the paper's single-device comparison to a simulated
 // population: the NATIVE-vs-SIMTY savings distribution across
 // heterogeneous devices, streamed through memory-bounded aggregates.
@@ -35,22 +54,10 @@ func fleetSpec(o Options) fleet.Spec {
 // table is byte-identical in every shape.
 func Fleet(o Options) (*Table, error) {
 	o = o.withDefaults()
-	spec := fleetSpec(o)
-	var progress func(done, total int)
-	if o.Progress != nil {
-		progress = func(done, total int) {
-			// One callback per fleet percentile keeps -progress readable
-			// at 10k devices.
-			if step := total / 100; step <= 1 || done%step == 0 || done == total {
-				o.Progress(sim.Progress{Done: done, Total: total,
-					Name: fmt.Sprintf("fleet dev%06d", done-1)})
-			}
-		}
-	}
-	r, err := shardexec.Run(context.Background(), spec, shardexec.Options{
+	r, err := shardexec.Run(context.Background(), fleetSpec(o), shardexec.Options{
 		Procs:    o.Procs,
 		Workers:  o.Workers,
-		Progress: progress,
+		Progress: fleetProgress(o, "fleet"),
 	})
 	if err != nil {
 		return nil, err

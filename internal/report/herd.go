@@ -62,7 +62,8 @@ func Herd(o Options) (*Table, error) {
 	var rows []row
 	for _, testPolicy := range []string{"SIMTY", "SIMTY-J"} {
 		spec := herdSpec(o, devices, testPolicy)
-		r, err := shardexec.Run(context.Background(), spec, shardexec.Options{Procs: o.Procs, Workers: o.Workers})
+		r, err := shardexec.Run(context.Background(), spec, shardexec.Options{Procs: o.Procs, Workers: o.Workers,
+			Progress: fleetProgress(o, "herd "+testPolicy)})
 		if err != nil {
 			return nil, err
 		}

@@ -355,6 +355,40 @@ func TestTournamentBuilds(t *testing.T) {
 	}
 }
 
+// TestPopulationProgressCarriesWall: the herd experiment reports
+// progress through the adapter the fleet experiment uses, and every
+// herd and tournament line carries the wall time since the line before
+// it.
+func TestPopulationProgressCarriesWall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-regime fleet matrix")
+	}
+	o := fastOpts()
+	o.FleetDevices = 4
+	for _, build := range []struct {
+		name  string
+		fn    func(Options) (*Table, error)
+		lines int
+	}{
+		{"herd", Herd, 8},              // 2 fleets × 4 devices
+		{"tournament", Tournament, 15}, // 3 regimes × 5 entrants
+	} {
+		var lines []sim.Progress
+		o.Progress = func(p sim.Progress) { lines = append(lines, p) }
+		if _, err := build.fn(o); err != nil {
+			t.Fatal(err)
+		}
+		if len(lines) != build.lines {
+			t.Errorf("%s: %d progress lines, want %d", build.name, len(lines), build.lines)
+		}
+		for _, p := range lines {
+			if p.Wall <= 0 {
+				t.Errorf("%s: line %q carries no wall time", build.name, p.Name)
+			}
+		}
+	}
+}
+
 func TestRobustnessBuilds(t *testing.T) {
 	tbl, err := Robustness(fastOpts())
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/tournament"
@@ -28,9 +29,11 @@ func Tournament(o Options) (*Table, error) {
 	spec := tournament.Spec{Seed: o.Seed, Devices: devices}
 	topts := tournament.Options{Workers: o.Workers, Procs: o.Procs}
 	if o.Progress != nil {
+		last := time.Now()
 		topts.Progress = func(regime, policy string, done, total int) {
 			o.Progress(sim.Progress{Done: done, Total: total,
-				Name: fmt.Sprintf("%s/%s", regime, policy)})
+				Name: fmt.Sprintf("%s/%s", regime, policy), Wall: time.Since(last)})
+			last = time.Now()
 		}
 	}
 	sb, err := tournament.Run(context.Background(), spec, topts)

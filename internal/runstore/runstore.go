@@ -262,8 +262,9 @@ func (s *Store) List() []Run {
 }
 
 // Cancel aborts the run: a queued run never starts, a running one has
-// its context cancelled (the simulation pools stop at the next shard
-// boundary). Cancelling a finished run returns ErrFinished.
+// its context cancelled. An in-process fleet then stops at its next
+// run, and a worker process is killed through the context. Cancelling a
+// finished run returns ErrFinished.
 func (s *Store) Cancel(id string) (Run, error) {
 	s.mu.Lock()
 	e, ok := s.entries[id]

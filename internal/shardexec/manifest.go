@@ -1,14 +1,15 @@
 // Package shardexec runs a fleet simulation across multiple OS
 // processes and survives their deaths. A supervisor splits the fleet's
 // device range into shard manifests, hands each to a child worker
-// process (the wakesim binary re-invoked in -shardworker mode), and
-// merges the shard states they return, exactly and in device order — so
-// the final Summary JSON is byte-identical to a single-process fleet.Run
-// regardless of the process count or which workers crashed along the
-// way. The supervisor is one ordered pool.Run over all shards: at most
-// Options.Procs worker processes at once, and its in-order delivery
-// merges each shard once it and every shard before it are done, so it
-// keeps no queue of its own. Run is every program's fleet entry point: with no worker
+// process (the calling command — wakesim, report or wakesimd —
+// re-invoked in -shardworker mode), and merges the shard states they
+// return, exactly and in device order — so the final Summary JSON is
+// byte-identical to a single-process fleet.Run regardless of the
+// process count or which workers crashed along the way. The supervisor
+// is one ordered pool.Run over all shards: at most Options.Procs worker
+// processes at once, and its in-order delivery merges each shard once
+// it and every shard before it are done, so it keeps no queue of its
+// own. Run is every program's fleet entry point: with no worker
 // processes (Options.Procs ≤ 0) it is fleet.Run in this process, so a
 // caller picks the execution shape with one number and never branches.
 //

@@ -64,8 +64,9 @@ type Options struct {
 	// must match. A missing or empty file starts fresh.
 	Resume bool
 	// WorkerArgv is the child command line; empty means the current
-	// executable with the single argument "-shardworker" (the wakesim
-	// protocol). Tests point this at a re-executed test binary.
+	// executable with the single argument "-shardworker", the worker
+	// mode wakesim, report and wakesimd each accept. Tests point this at
+	// a re-executed test binary.
 	WorkerArgv []string
 	// WorkerEnv entries are appended to the parent environment for each
 	// worker.

@@ -14,8 +14,8 @@ import (
 // success, 1 on any failure (the supervisor treats all nonzero exits
 // the same: the attempt failed, the error text is on stderr).
 //
-// cmd/wakesim routes -shardworker here; tests drive it directly and
-// through re-executed test binaries.
+// cmd/wakesim, cmd/report and cmd/wakesimd route -shardworker here;
+// tests drive it directly and through re-executed test binaries.
 func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) int {
 	m, err := ParseManifest(stdin)
 	if err != nil {

@@ -85,11 +85,11 @@ var (
 	systemSpecs    = apps.SystemSpecs()
 )
 
-// observe is the manager's record sink: it streams every derived metric
-// and, outside NoTrace mode, retains the record and mirrors it into the
-// trace.
+// observe is the manager's record sink: it streams every derived metric,
+// retains the record when reset made a record slice (a Run outside
+// NoTrace mode) and mirrors it into the trace.
 func (e *runEnv) observe(r alarm.Record) {
-	if !e.cfg.NoTrace {
+	if e.recs != nil {
 		e.recs = append(e.recs, r)
 	}
 	if e.appNames[r.App] {
@@ -109,16 +109,16 @@ func (e *runEnv) observe(r alarm.Record) {
 	}
 }
 
-// estimateDeliveries bounds the run's expected alarm-delivery count from
-// the workload's repeating intervals — used to presize the record slice
-// and the trace buffer so steady-state appends never reallocate. It is a
-// heuristic (dynamic alarms drift, realignment batches), so it aims a
-// little high rather than exact.
-func estimateDeliveries(cfg Config, horizon simclock.Duration) int {
+// estimateDeliveries bounds the expected alarm-delivery count over the
+// standby horizon from the workload's repeating intervals — used to
+// presize the record slice and the trace buffer so steady-state appends
+// never reallocate. It is a heuristic (dynamic alarms drift, realignment
+// batches), so it aims a little high rather than exact.
+func estimateDeliveries(cfg Config) int {
 	n := cfg.OneShots
 	add := func(period simclock.Duration) {
 		if period > 0 {
-			n += int(horizon/period) + 1
+			n += int(cfg.Duration/period) + 1
 		}
 	}
 	for _, s := range cfg.Workload {
@@ -136,8 +136,10 @@ func estimateDeliveries(cfg Config, horizon simclock.Duration) int {
 // horizon bounds the external-wakeup Poisson processes: zero means the
 // standby horizon (Run), while RunToEmpty passes the drain cap so pushes
 // and screen sessions persist for as long as the discharge can possibly
-// last. One-shot alarms are always scheduled within cfg.Duration,
-// matching both entry points' documented semantics. After an error the
+// last. A drain keeps no records, since DrainResult has none. One-shot
+// alarms are always scheduled within cfg.Duration, and the record and
+// trace buffers are sized from it, in both entry points: a discharge's
+// trace grows past that size as it needs. After an error the
 // environment is half built and must be dropped.
 //
 // The construction order (trace hookup, workload, system alarms,
@@ -161,10 +163,6 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 			return err
 		}
 	}
-	if horizon == 0 {
-		horizon = cfg.Duration
-	}
-
 	env.cfg, env.pol = cfg, pol
 	env.clock.Reset()
 	clock := &env.clock
@@ -201,18 +199,18 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 	env.guard, env.gaps = metrics.GuaranteeAcc{}, metrics.GapAcc{}
 	env.aoi.Reset()
 	env.pushes = 0
-	deliveries := estimateDeliveries(cfg, horizon)
+	deliveries := estimateDeliveries(cfg)
 	// The records and the trace belong to the Result, so each run makes
-	// its own.
+	// its own. A drain (horizon ≠ 0) keeps no records.
 	env.recs, env.logger = nil, nil
-	if !cfg.NoTrace {
+	if !cfg.NoTrace && horizon == 0 {
 		env.recs = make([]alarm.Record, 0, deliveries)
 	}
 	if cfg.CollectTrace {
 		// Each delivery produces a handful of trace events (the delivery
 		// itself, task start/end, wakelock transitions); pushes and screen
 		// sessions add a similar burst each.
-		bursts := int(float64(horizon) / float64(simclock.Hour) *
+		bursts := int(float64(cfg.Duration) / float64(simclock.Hour) *
 			(cfg.PushesPerHour + cfg.ScreenSessionsPerHour))
 		env.logger = trace.NewLoggerSized(clock, 6*deliveries+6*bursts)
 		env.dev.Wakelocks().Subscribe(env.logger)
@@ -274,6 +272,9 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 		}
 	}
 
+	if horizon == 0 {
+		horizon = cfg.Duration
+	}
 	env.scheduleScreenSessions(horizon)
 	env.schedulePushes(horizon)
 

@@ -41,6 +41,16 @@ const (
 	Hour                 = 60 * Minute
 )
 
+// Horizon converts a standby horizon in hours to a Duration. It rejects
+// NaN, ±Inf, h ≤ 0 and h > 10,000 before converting: a longer horizon
+// is a typo, not a workload.
+func Horizon(h float64) (Duration, error) {
+	if !(h > 0 && h <= 10_000) { // NaN fails both comparisons
+		return 0, fmt.Errorf("horizon %v hours outside (0, 10000]", h)
+	}
+	return Duration(h * float64(Hour)), nil
+}
+
 // Add returns the time t+d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

@@ -44,8 +44,8 @@ func TestScoreboardGoldenAcrossWorkersAndProcs(t *testing.T) {
 	}{
 		{"workers=1", Options{Workers: 1}},
 		{"workers=4", Options{Workers: 4}},
-		{"procs=2", Options{Procs: 2, ShardSize: 2}},
-		{"procs=2/shard=4", Options{Procs: 2, ShardSize: 4, Workers: 2}},
+		{"procs=2", Options{Procs: 2, shardSize: 2}},
+		{"procs=2/shard=4", Options{Procs: 2, shardSize: 4, Workers: 2}},
 	}
 	var golden []byte
 	for _, shape := range shapes {

@@ -64,7 +64,7 @@ func TestTournamentMatchesPerEntrantOracle(t *testing.T) {
 		{"odd field", Spec{Seed: 5, Devices: 3, Policies: []string{"SIMTY", "SIMTY-U"}, Regimes: regimes}, Options{}},
 		{"non-NATIVE base", Spec{Seed: 9, Devices: 3, Base: "SIMTY-J",
 			Policies: []string{"NATIVE", "AOI", "NOALIGN"}, Regimes: regimes}, Options{Workers: 2}},
-		{"procs=2", smallSpec(), Options{Procs: 2, ShardSize: 2}},
+		{"procs=2", smallSpec(), Options{Procs: 2, shardSize: 2}},
 	}
 	for _, tc := range cases {
 		var progress, wantProgress []string

@@ -255,12 +255,13 @@ type Options struct {
 	// Procs, when > 0, executes each fleet across supervised worker OS
 	// processes (internal/shardexec) instead of the in-process pool.
 	Procs int
-	// ShardSize is the per-process device range when Procs > 0; ≤ 0
-	// means shardexec.DefaultShardSize.
-	ShardSize int
 	// Progress, when non-nil, is called after each (regime, entrant)
 	// cell completes with the cells done so far and the matrix size.
 	Progress func(regime, policy string, done, total int)
+
+	// shardSize is a test seam: the per-process device range when
+	// Procs > 0; ≤ 0 means shardexec.DefaultShardSize.
+	shardSize int
 }
 
 // Run executes the tournament: every regime runs the field two policies
@@ -280,7 +281,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Scoreboard, error) {
 		for _, pair := range spec.pairs() {
 			r, err := shardexec.Run(ctx, spec.fleetSpec(reg, pair), shardexec.Options{
 				Procs:     opts.Procs,
-				ShardSize: opts.ShardSize,
+				ShardSize: opts.shardSize,
 				Workers:   opts.Workers,
 			})
 			if err != nil {
