@@ -156,22 +156,24 @@ type Queue struct {
 	byID map[string]*Entry
 	// count is the total number of queued alarms (Σ entry lengths).
 	count int
-	// free holds delivered entries the Manager handed back (recycle);
-	// newEntry reuses them, member slice capacity included.
+	// free holds delivered entries the Manager handed back (recycle),
+	// and after Reset every entry the queue made; newEntry reuses them,
+	// member slice capacity included.
 	free freelist.List[Entry]
 }
 
-// Reset empties the queue. Its entries go to the pool, member capacity
-// included, and the entry array and ID map keep theirs; the alarms the
-// entries held are dropped.
+// Reset empties the queue. Every entry it made goes back to the pool,
+// member capacity included, and the entry array and ID map keep theirs;
+// the alarms the entries held are dropped.
 func (q *Queue) Reset() {
 	for _, e := range q.entries {
-		q.recycle(e)
+		clear(e.Alarms)
 	}
 	clear(q.entries)
 	q.entries = q.entries[:0]
 	clear(q.byID)
 	q.count = 0
+	q.free.Reclaim()
 }
 
 // Entries exposes the entries in queue order. Callers must not mutate.
@@ -344,7 +346,9 @@ func (q *Queue) Head() *Entry {
 func (q *Queue) newEntry(a *Alarm) *Entry {
 	e := q.free.Get()
 	if e == nil {
-		return newEntry(a)
+		e = newEntry(a)
+		q.free.Made(e)
+		return e
 	}
 	*e = Entry{Alarms: e.Alarms[:0]}
 	e.add(a)

@@ -155,18 +155,25 @@ type FaultInjector interface {
 
 // Runtime installs application specs on a device + alarm manager pair,
 // turning each Spec into a live alarm whose delivery callback runs the
-// app's task on the device and reveals its hardware set. Clock, Dev and
-// Mgr are required.
+// app's task on the device and reveals its hardware set. The zero
+// Runtime is wired up by Reset, the one way to ready it for a
+// simulation; it must not be copied after its first Build.
+//
+// The alarms a Runtime builds live in a slab that outlives the
+// simulation: each slot holds an alarm, its spec and a delivery
+// callback bound once, and Reset frees every slot for the next
+// simulation. A runtime reused across simulations therefore builds its
+// alarms, callbacks and one-shot IDs once.
 type Runtime struct {
-	Clock *simclock.Clock
-	Dev   *device.Device
-	Mgr   *alarm.Manager
+	clock *simclock.Clock
+	dev   *device.Device
+	mgr   *alarm.Manager
 	// Beta is the grace factor: grace = β × period, clamped to
 	// [window, period) (§3.1.2). The paper's experiments use 0.96.
 	Beta float64
 	// Rng staggers app registration phases, as real apps start at
-	// arbitrary times. A nil Rng makes phases deterministic (every alarm
-	// registers with nominal = now + period).
+	// arbitrary times. Reset reseeds it; a nil Rng makes phases
+	// deterministic (every alarm registers with nominal = now + period).
 	Rng *rand.Rand
 	// AlignedPhases installs every app at the deterministic phase
 	// offset = its period instead of a random stagger, so devices
@@ -183,10 +190,84 @@ type Runtime struct {
 	// behaviour (see FaultInjector). Applied after Jitter, so a leak's
 	// infinite hold is never re-randomized away.
 	Faults FaultInjector
+
+	// slots is the alarm slab; the first used of them belong to this
+	// simulation. oneShotIDs[i] is "oneshot.i", formatted once.
+	slots      []*slot
+	used       int
+	oneShotIDs []string
+}
+
+// slot is one alarm of the slab: the alarm, the spec it runs and its
+// delivery callback, deliver bound once. A slot is handed out by
+// nextSlot and stays put while its alarm is queued.
+type slot struct {
+	r         *Runtime
+	alarm     alarm.Alarm
+	spec      Spec
+	deliverFn func(simclock.Time) hw.Set
+}
+
+// deliver runs the slot's task on the device and reveals its hardware.
+// A one-shot runs its task as declared: jitter, the no-sleep bug and
+// faults perturb only the workload's apps.
+func (sl *slot) deliver(simclock.Time) hw.Set {
+	r, s := sl.r, &sl.spec
+	dur := s.TaskDur
+	var delay simclock.Duration
+	if sl.alarm.Repeat != alarm.OneShot {
+		if r.Jitter > 0 && r.Rng != nil && dur > 0 {
+			f := 1 + r.Jitter*(2*r.Rng.Float64()-1)
+			dur = simclock.Duration(float64(dur) * f)
+			if dur < simclock.Millisecond {
+				dur = simclock.Millisecond
+			}
+		}
+		if s.NoSleepBug {
+			// The wakelock release never comes (practically: not within
+			// any simulation horizon).
+			dur = 100000 * simclock.Hour
+		}
+		if r.Faults != nil {
+			delay, dur = r.Faults.PerturbTask(s.Name, dur)
+		}
+	}
+	r.dev.RunTaskDelayed(s.Name, s.HW, delay, dur)
+	return s.HW
+}
+
+// Reset readies r for a simulation on clock, dev and mgr: Rng reseeded
+// to seed, Beta, AlignedPhases, Jitter and Faults at their zero values,
+// and every slot of the slab free. It keeps the slab, its bound
+// callbacks and the one-shot IDs. mgr must hold none of the alarms r
+// built before: they are rewritten as the slots are handed out again.
+func (r *Runtime) Reset(clock *simclock.Clock, dev *device.Device, mgr *alarm.Manager, seed int64) {
+	if clock == nil || dev == nil || mgr == nil {
+		panic("apps: Reset with nil clock, device or manager")
+	}
+	r.clock, r.dev, r.mgr = clock, dev, mgr
+	r.Rng = simclock.Reseed(r.Rng, seed)
+	r.Beta, r.AlignedPhases, r.Jitter, r.Faults = 0, false, 0, nil
+	r.used = 0
+}
+
+// nextSlot hands out the slab's next free slot, growing the slab when
+// every slot is taken.
+func (r *Runtime) nextSlot() *slot {
+	if r.used == len(r.slots) {
+		sl := &slot{r: r}
+		sl.deliverFn = sl.deliver
+		r.slots = append(r.slots, sl)
+	}
+	sl := r.slots[r.used]
+	r.used++
+	return sl
 }
 
 // Build converts a Spec to an Alarm registered to fire first at the
-// given nominal time.
+// given nominal time. The alarm is a slot of r's slab, written whole:
+// nothing an earlier simulation taught it (HW, HWKnown, Deliveries)
+// survives.
 func (r *Runtime) Build(s Spec, nominal simclock.Time) *alarm.Alarm {
 	rep := alarm.Static
 	if s.Dynamic {
@@ -207,8 +288,9 @@ func (r *Runtime) Build(s Spec, nominal simclock.Time) *alarm.Alarm {
 	if grace >= s.Period {
 		grace = s.Period - simclock.Millisecond
 	}
-	spec := s
-	a := &alarm.Alarm{
+	sl := r.nextSlot()
+	sl.spec = s
+	sl.alarm = alarm.Alarm{
 		ID:          s.Name,
 		App:         s.Name,
 		Kind:        kind,
@@ -218,29 +300,9 @@ func (r *Runtime) Build(s Spec, nominal simclock.Time) *alarm.Alarm {
 		Window:      window,
 		Grace:       grace,
 		DeclaredDur: s.TaskDur,
+		OnDeliver:   sl.deliverFn,
 	}
-	a.OnDeliver = func(at simclock.Time) hw.Set {
-		dur := spec.TaskDur
-		if r.Jitter > 0 && r.Rng != nil && dur > 0 {
-			f := 1 + r.Jitter*(2*r.Rng.Float64()-1)
-			dur = simclock.Duration(float64(dur) * f)
-			if dur < simclock.Millisecond {
-				dur = simclock.Millisecond
-			}
-		}
-		if spec.NoSleepBug {
-			// The wakelock release never comes (practically: not within
-			// any simulation horizon).
-			dur = 100000 * simclock.Hour
-		}
-		var delay simclock.Duration
-		if r.Faults != nil {
-			delay, dur = r.Faults.PerturbTask(spec.Name, dur)
-		}
-		r.Dev.RunTaskDelayed(spec.Name, spec.HW, delay, dur)
-		return spec.HW
-	}
-	return a
+	return &sl.alarm
 }
 
 // Install registers every spec with a phase-staggered first nominal
@@ -248,7 +310,7 @@ func (r *Runtime) Build(s Spec, nominal simclock.Time) *alarm.Alarm {
 // fault injector assigns (clamped so the first firing stays in the
 // future).
 func (r *Runtime) Install(specs []Spec) error {
-	now := r.Clock.Now()
+	now := r.clock.Now()
 	for _, s := range specs {
 		if s.Period <= 0 {
 			return fmt.Errorf("apps: install %s: non-positive period %v", s.Name, s.Period)
@@ -263,7 +325,7 @@ func (r *Runtime) Install(specs []Spec) error {
 				offset = simclock.Millisecond
 			}
 		}
-		if err := r.Mgr.Set(r.Build(s, now.Add(offset))); err != nil {
+		if err := r.mgr.Set(r.Build(s, now.Add(offset))); err != nil {
 			return fmt.Errorf("apps: install %s: %w", s.Name, err)
 		}
 	}
@@ -279,21 +341,23 @@ func (r *Runtime) ScheduleOneShots(horizon simclock.Duration, n int) error {
 		return fmt.Errorf("apps: one-shots need a seeded rng")
 	}
 	for i := 0; i < n; i++ {
-		at := r.Clock.Now().Add(simclock.Duration(1 + r.Rng.Int63n(int64(horizon))))
-		a := &alarm.Alarm{
-			ID:      fmt.Sprintf("oneshot.%d", i),
-			App:     "oneshot",
-			Kind:    alarm.Wakeup,
-			Repeat:  alarm.OneShot,
-			Nominal: at,
-			Window:  30 * sec,
-			Grace:   30 * sec,
+		at := r.clock.Now().Add(simclock.Duration(1 + r.Rng.Int63n(int64(horizon))))
+		for len(r.oneShotIDs) <= i {
+			r.oneShotIDs = append(r.oneShotIDs, fmt.Sprintf("oneshot.%d", len(r.oneShotIDs)))
 		}
-		a.OnDeliver = func(simclock.Time) hw.Set {
-			r.Dev.RunTaskTagged(a.ID, 0, 500*simclock.Millisecond)
-			return 0
+		sl := r.nextSlot()
+		sl.spec = Spec{Name: r.oneShotIDs[i], TaskDur: 500 * simclock.Millisecond}
+		sl.alarm = alarm.Alarm{
+			ID:        sl.spec.Name,
+			App:       "oneshot",
+			Kind:      alarm.Wakeup,
+			Repeat:    alarm.OneShot,
+			Nominal:   at,
+			Window:    30 * sec,
+			Grace:     30 * sec,
+			OnDeliver: sl.deliverFn,
 		}
-		if err := r.Mgr.Set(a); err != nil {
+		if err := r.mgr.Set(&sl.alarm); err != nil {
 			return fmt.Errorf("apps: one-shot %d: %w", i, err)
 		}
 	}

@@ -87,7 +87,10 @@ func newRuntime(t *testing.T, beta float64) (*simclock.Clock, *Runtime, *[]alarm
 	m := alarm.NewManager(c, d, alarm.Native{})
 	recs := &[]alarm.Record{}
 	m.SetRecordFunc(func(r alarm.Record) { *recs = append(*recs, r) })
-	return c, &Runtime{Clock: c, Dev: d, Mgr: m, Beta: beta}, recs
+	r := new(Runtime)
+	r.Reset(c, d, m, 1)
+	r.Beta = beta
+	return c, r, recs
 }
 
 func TestBuildIntervals(t *testing.T) {
@@ -128,8 +131,8 @@ func TestInstallAndRun(t *testing.T) {
 	if err := r.Install(LightWorkload()); err != nil {
 		t.Fatal(err)
 	}
-	if r.Mgr.Pending() != 12 {
-		t.Fatalf("pending = %d", r.Mgr.Pending())
+	if r.mgr.Pending() != 12 {
+		t.Fatalf("pending = %d", r.mgr.Pending())
 	}
 	c.Run(simclock.Time(10 * simclock.Minute))
 	if len(*recs) == 0 {
@@ -156,7 +159,9 @@ func TestInstallStaggeredPhases(t *testing.T) {
 	p := power.Nexus5()
 	d := device.New(c, p, 1)
 	m := alarm.NewManager(c, d, alarm.NoAlign{})
-	r := &Runtime{Clock: c, Dev: d, Mgr: m, Beta: 0.96, Rng: simclock.Rand(42)}
+	r := new(Runtime)
+	r.Reset(c, d, m, 42)
+	r.Beta = 0.96
 	if err := r.Install(LightWorkload()); err != nil {
 		t.Fatal(err)
 	}

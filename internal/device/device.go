@@ -48,9 +48,9 @@ type Device struct {
 	sleepTimer  simclock.Timer
 
 	// freeTasks recycles task objects whose end event has fired, and
-	// finishWakeFn/dozeFn are the device's own timer callbacks, bound on
-	// the first Reset: scheduling a method value would allocate a closure
-	// per call.
+	// Reset every task made. finishWakeFn/dozeFn are the device's own
+	// timer callbacks, bound on the first Reset: scheduling a method
+	// value would allocate a closure per call.
 	freeTasks    freelist.List[task]
 	finishWakeFn func()
 	dozeFn       func()
@@ -86,12 +86,14 @@ func New(clock *simclock.Clock, profile *power.Profile, seed int64) *Device {
 // subscriber or handler, a fresh accountant — on clock, profile and seed.
 // It keeps the task pool, the wake lists' arrays, the wake-latency
 // source (reseeded) and the bound callbacks, so a device reused across
-// simulations skips their warm-up. Tasks still in flight are abandoned
-// along with their events: reset the clock too.
+// simulations skips their warm-up. Tasks still in flight go back to the
+// pool: reset their clock first, so that none of their events fires
+// again.
 func (d *Device) Reset(clock *simclock.Clock, profile *power.Profile, seed int64) {
 	if clock == nil || profile == nil {
 		panic("device: Reset with nil clock or profile")
 	}
+	d.freeTasks.Reclaim()
 	d.clock, d.profile = clock, profile
 	d.acct.Reset(clock, profile)
 	d.wl.Reset()
@@ -152,6 +154,7 @@ func (d *Device) newTask(tag string, set hw.Set) *task {
 	if t == nil {
 		t = &task{d: d}
 		t.startFn, t.endFn = t.start, t.end
+		d.freeTasks.Made(t)
 	}
 	t.tag, t.set = tag, set
 	return t

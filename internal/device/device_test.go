@@ -352,3 +352,33 @@ func TestWakeTaskCycleAllocatesNothing(t *testing.T) {
 		t.Fatalf("cycles did not complete: awake=%v wakeups=%d tasks=%d", d.Awake(), d.Wakeups(), d.TasksActive())
 	}
 }
+
+// TestResetReclaimsTasksInFlight: tasks still scheduled when their clock
+// and device are reset go back to the pool, so the next simulation's
+// tasks reuse them and allocate nothing.
+func TestResetReclaimsTasksInFlight(t *testing.T) {
+	const n = 8
+	c := simclock.New()
+	p := fixedProfile()
+	d := New(c, p, 1)
+	tasks := func() {
+		for i := 0; i < n; i++ {
+			d.RunTaskTagged("sync", hw.MakeSet(hw.WiFi), 2*sec)
+		}
+	}
+	simulate := func() {
+		c.Reset()
+		d.Reset(c, p, 1)
+		d.ExecuteWake(tasks)
+		// The wake completes at 0.5 s; the Wi-Fi tasks run back to back
+		// until 16.5 s.
+		c.Run(simclock.Time(sec))
+	}
+	simulate()
+	if d.TasksActive() != n {
+		t.Fatalf("%d tasks in flight, want %d", d.TasksActive(), n)
+	}
+	if a := testing.AllocsPerRun(20, simulate); a != 0 {
+		t.Fatalf("a simulation after reset allocates %v objects, want 0", a)
+	}
+}

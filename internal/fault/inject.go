@@ -166,50 +166,70 @@ func (in *Injector) StartStorms(mgr *alarm.Manager, runTask func(tag string, dur
 }
 
 func (in *Injector) startStorm(s Storm, mgr *alarm.Manager, runTask func(tag string, dur simclock.Duration)) error {
-	period := s.Period
-	if period == 0 {
-		period = DefaultStormPeriod
+	st := &storm{Storm: s, in: in, mgr: mgr, runTask: runTask, id: s.App + ".storm"}
+	if st.Period == 0 {
+		st.Period = DefaultStormPeriod
 	}
-	id := s.App + ".storm"
-	delivered := 0
-	var register func(at simclock.Time) error
-	register = func(at simclock.Time) error {
-		a := &alarm.Alarm{
-			ID:      id,
-			App:     s.App,
-			Kind:    alarm.Wakeup,
-			Repeat:  alarm.OneShot,
-			Nominal: at,
-		}
-		a.OnDeliver = func(now simclock.Time) hw.Set {
-			runTask(id, stormTaskDur)
-			delivered++
-			if s.Count > 0 && delivered >= s.Count {
-				return 0
-			}
-			// Re-register through the full Set path: this is the
-			// storm's point — queue churn, not just deliveries.
-			if err := register(now.Add(period)); err != nil {
-				// Registration of a future exact alarm cannot fail
-				// validation; record rather than crash if it ever does.
-				in.record(s.App, "violation", fmt.Sprintf("storm re-register: %v", err))
-			}
-			return 0
-		}
-		return mgr.Set(a)
-	}
+	st.deliverFn = st.deliver
 	start := s.Start
 	if start < in.clock.Now() {
 		start = in.clock.Now()
 	}
 	if start == 0 {
-		start = in.clock.Now().Add(period)
+		start = in.clock.Now().Add(st.Period)
 	}
-	if err := register(start); err != nil {
+	if err := st.register(start); err != nil {
 		return fmt.Errorf("fault: storm %q: %w", s.App, err)
 	}
-	in.record(s.App, "storm", fmt.Sprintf("alarm storm every %v from %v", period, start))
+	in.record(s.App, "storm", fmt.Sprintf("alarm storm every %v from %v", st.Period, start))
 	return nil
+}
+
+// storm is one running alarm storm. Its delivery callback is bound once
+// and it alternates between two alarms: the manager builds a delivered
+// alarm's record after its callback returns, so the callback registers
+// the other one.
+type storm struct {
+	Storm     // Period defaulted
+	in        *Injector
+	mgr       *alarm.Manager
+	runTask   func(tag string, dur simclock.Duration)
+	id        string
+	delivered int
+	alarms    [2]alarm.Alarm
+	next      int // the alarm register writes next
+	deliverFn func(simclock.Time) hw.Set
+}
+
+// register writes the next alarm whole and sets it to fire at at.
+func (st *storm) register(at simclock.Time) error {
+	a := &st.alarms[st.next]
+	st.next ^= 1
+	*a = alarm.Alarm{
+		ID:        st.id,
+		App:       st.App,
+		Kind:      alarm.Wakeup,
+		Repeat:    alarm.OneShot,
+		Nominal:   at,
+		OnDeliver: st.deliverFn,
+	}
+	return st.mgr.Set(a)
+}
+
+func (st *storm) deliver(now simclock.Time) hw.Set {
+	st.runTask(st.id, stormTaskDur)
+	st.delivered++
+	if st.Count > 0 && st.delivered >= st.Count {
+		return 0
+	}
+	// Re-register through the full Set path: this is the storm's point —
+	// queue churn, not just deliveries.
+	if err := st.register(now.Add(st.Period)); err != nil {
+		// Registration of a future exact alarm cannot fail validation;
+		// record rather than crash if it ever does.
+		st.in.record(st.App, "violation", fmt.Sprintf("storm re-register: %v", err))
+	}
+	return 0
 }
 
 // RecordViolation absorbs a runtime contract violation (a would-be

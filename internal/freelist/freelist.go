@@ -10,6 +10,8 @@ package freelist
 // List holds recycled *T objects. The zero value is an empty list.
 type List[T any] struct {
 	free []*T
+	// made is every object registered with Made, in order.
+	made []*T
 }
 
 // Get removes and returns the most recently put object, or returns nil
@@ -30,4 +32,25 @@ func (l *List[T]) Get() *T {
 // reference to it.
 func (l *List[T]) Put(x *T) {
 	l.free = append(l.free, x)
+}
+
+// Made registers x, a fresh object the caller allocated because Get
+// returned nil, so that Reclaim can hand it out again.
+func (l *List[T]) Made(x *T) {
+	l.made = append(l.made, x)
+}
+
+// Reclaim puts back every object registered with Made, whether it was
+// free or still live, and Get then hands them out in the order they
+// were made. A simulation that repeats the previous one's Gets and Puts
+// therefore gets each object back in the role it had, with whatever
+// capacity it grew there. The caller must drop every live reference
+// first, including the clock events that would run a live object's
+// callbacks.
+func (l *List[T]) Reclaim() {
+	clear(l.free)
+	l.free = l.free[:0]
+	for i := len(l.made) - 1; i >= 0; i-- {
+		l.free = append(l.free, l.made[i])
+	}
 }

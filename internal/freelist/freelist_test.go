@@ -31,3 +31,24 @@ func TestListSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("get/put cycle allocates %v objects, want 0", n)
 	}
 }
+
+// TestReclaimReturnsEveryObjectInOrderMade: Reclaim puts back free and
+// live objects alike, each once, and Get hands them out in the order
+// they were made.
+func TestReclaimReturnsEveryObjectInOrderMade(t *testing.T) {
+	var l List[int]
+	objs := []*int{new(int), new(int), new(int)}
+	for _, x := range objs {
+		l.Made(x)
+	}
+	l.Put(objs[1]) // objs[0] and objs[2] are still live
+	l.Reclaim()
+	for i, want := range objs {
+		if l.Get() != want {
+			t.Fatalf("Get %d did not return the object made %d", i, i)
+		}
+	}
+	if l.Get() != nil {
+		t.Fatal("Reclaim put an object back twice")
+	}
+}

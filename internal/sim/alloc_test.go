@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/backend"
+	"repro/internal/fault"
 	"repro/internal/simclock"
 )
 
@@ -39,6 +40,9 @@ func steadyState(t *testing.T, cfg Config) (mallocs uint64, deliveries int) {
 // a pool reaching a new peak. Such growth stays under one object per 100
 // deliveries; per-event allocation makes several per delivery (three to
 // eight, depending on the policy, with closures scheduled per event).
+// An alarm storm re-registers its alarm on every delivery and must reuse
+// it too; a storm-only plan records no fault event after set-up, while
+// jitter overruns would add to the event log the Result owns.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	var cfgs []Config
 	for _, policy := range PolicyNames() {
@@ -56,14 +60,18 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		c.Backend = &backend.Model{ShedRate: 0.2} // retry chains
 		cfgs = append(cfgs, c)
 	}
+	storm := heavy
+	storm.Policy = "SIMTY"
+	storm.Faults = &fault.Plan{Storms: []fault.Storm{{App: "rogue", Period: 30 * simclock.Second}}}
+	cfgs = append(cfgs, storm)
 	for _, c := range cfgs {
 		mallocs, deliveries := steadyState(t, c)
 		if deliveries < 1000 {
 			t.Fatalf("%s: %d deliveries in the measured window — test exercises little", c.Policy, deliveries)
 		}
 		if mallocs*100 > uint64(deliveries) {
-			t.Errorf("%s (diurnal %v, backend %v): %d allocations over %d deliveries after warm-up",
-				c.Policy, c.Diurnal != nil, c.Backend != nil, mallocs, deliveries)
+			t.Errorf("%s (diurnal %v, backend %v, faults %v): %d allocations over %d deliveries after warm-up",
+				c.Policy, c.Diurnal != nil, c.Backend != nil, c.Faults != nil, mallocs, deliveries)
 		}
 	}
 }

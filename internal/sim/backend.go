@@ -36,8 +36,8 @@ type backendClient struct {
 
 	stats backend.DeviceStats
 
-	// freeRetries pools retry objects whose attempt has run, and onWakeFn
-	// is onWake, bound once.
+	// freeRetries pools retry objects whose attempt has run, and reset
+	// every retry made. onWakeFn is onWake, bound once.
 	freeRetries freelist.List[retry]
 	onWakeFn    func()
 
@@ -48,12 +48,15 @@ type backendClient struct {
 }
 
 // reset wires the client against the device for a new run, keeping its
-// retry pool and its two sources (reseeded). The stats, histogram
-// included, start over: the run's Result takes them. The caller must
-// reset the client *before* the alarm manager, so that its wake hook
-// arms reconnect state before the manager's wake-flush deliveries are
-// observed.
+// retry pool and its two sources (reseeded). Retries still in flight
+// from an earlier run go back to the pool, so the clock and the device
+// must be reset first: none of their events or wake callbacks may fire
+// again. The stats, histogram included, start over: the run's Result
+// takes them. The caller must reset the client *before* the alarm
+// manager, so that its wake hook arms reconnect state before the
+// manager's wake-flush deliveries are observed.
 func (c *backendClient) reset(clock *simclock.Clock, dev *device.Device, m backend.Model, seed int64) {
+	c.freeRetries.Reclaim()
 	c.model = m.WithDefaults()
 	c.clock, c.dev = clock, dev
 	c.recon = simclock.Reseed(c.recon, seed+5)
@@ -161,6 +164,7 @@ func (c *backendClient) newRetry(attempt int) *retry {
 	if r == nil {
 		r = &retry{c: c}
 		r.fireFn, r.wakeFn = r.fire, r.wake
+		c.freeRetries.Made(r)
 	}
 	r.attempt = attempt
 	return r

@@ -221,11 +221,8 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 	}
 	env.mgr.SetRecordFunc(env.observeFn)
 
-	env.rt = apps.Runtime{
-		Clock: clock, Dev: &env.dev, Mgr: &env.mgr, Beta: cfg.Beta,
-		Rng:    simclock.Reseed(env.rt.Rng, cfg.Seed+1),
-		Jitter: cfg.TaskJitter, AlignedPhases: cfg.AlignedPhases,
-	}
+	env.rt.Reset(clock, &env.dev, &env.mgr, cfg.Seed+1)
+	env.rt.Beta, env.rt.Jitter, env.rt.AlignedPhases = cfg.Beta, cfg.TaskJitter, cfg.AlignedPhases
 
 	// The fault injector hooks in before the workload installs (clock
 	// skew applies at install time). With no plan, nothing below changes

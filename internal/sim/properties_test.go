@@ -89,6 +89,40 @@ func TestPropertyGuaranteesAcrossPolicies(t *testing.T) {
 	}
 }
 
+// TestPropertyNoDeliveryBeforeNominal: under every registered policy,
+// no alarm of the heavy workload with faultPlan() is delivered before
+// its nominal time. The plan's storm re-registers its alarm from the
+// alarm's own delivery callback, before the manager builds that
+// delivery's record; rewriting the alarm being delivered would stamp the
+// record with the next nominal time, after the delivery.
+func TestPropertyNoDeliveryBeforeNominal(t *testing.T) {
+	for _, policy := range PolicyNames() {
+		r, err := Run(Config{Policy: policy, Workload: apps.HeavyWorkload(), SystemAlarms: true, OneShots: 6,
+			Seed: 1, Faults: faultPlan()})
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		early, storms := 0, 0
+		for _, rec := range r.Records {
+			if rec.Delivered < rec.Nominal {
+				if early == 0 {
+					t.Errorf("%s: %s delivered at %v, before its nominal %v", policy, rec.AlarmID, rec.Delivered, rec.Nominal)
+				}
+				early++
+			}
+			if rec.App == "rogue" {
+				storms++
+			}
+		}
+		if early > 0 {
+			t.Errorf("%s: %d of %d records delivered before their nominal time", policy, early, len(r.Records))
+		}
+		if storms == 0 {
+			t.Fatalf("%s: no storm delivery — test exercises less than it claims", policy)
+		}
+	}
+}
+
 // TestPropertyStaticCountsPolicyInvariant: static repeating alarms are
 // delivered once per period regardless of the alignment policy (the
 // §3.2.2 "once and only once in every repeating interval" property), so

@@ -24,11 +24,38 @@ func newRunEnv(cfg Config, horizon simclock.Duration) (*runEnv, error) {
 	return env, nil
 }
 
+// denseWorkload is 10 copies of the light workload, 120 apps, every copy
+// after the first renamed the way examples/sweep's large-population grid
+// does.
+func denseWorkload() []apps.Spec {
+	var dense []apps.Spec
+	for c := 0; c < 10; c++ {
+		for _, s := range apps.LightWorkload() {
+			if c > 0 {
+				s.Name = fmt.Sprintf("%s#%d", s.Name, c)
+			}
+			dense = append(dense, s)
+		}
+	}
+	return dense
+}
+
+// shedConfig is notraceConfig("NATIVE") on a backend that sheds 40% of
+// requests and backs off 10 to 20 minutes, so that 30 retry chains are
+// still in flight at the horizon.
+func shedConfig() Config {
+	c := notraceConfig("NATIVE")
+	c.Name = "shed"
+	c.Backend = &backend.Model{ShedRate: 0.4, RetryBase: 10 * simclock.Minute, RetryMax: 20 * simclock.Minute}
+	return c
+}
+
 // recycleMix is a set of configs that between them set every piece of
 // state a run leaves in its environment: every registered policy, a
 // fault plan (leaks, storms, violation handlers), a backend whose retry
 // chains are still in flight at the horizon (and whose debounce no other
-// config sets), a diurnal day with pushes and screen sessions, zero wake
+// config sets), a dense workload whose tasks are still in flight at the
+// horizon, a diurnal day with pushes and screen sessions, zero wake
 // latency, a custom profile, and the NoTrace, retained and CollectTrace
 // modes.
 func recycleMix() []Config {
@@ -44,8 +71,7 @@ func recycleMix() []Config {
 
 	faults := heavy
 	faults.Name, faults.Faults = "faults", faultPlan()
-	shed := notraceConfig("NATIVE")
-	shed.Name, shed.Backend = "shed", &backend.Model{ShedRate: 0.4, RetryBase: 10 * simclock.Minute, RetryMax: 20 * simclock.Minute}
+	shed := shedConfig()
 	day := heavy
 	day.Name, day.NoTrace, day.Duration = "day", true, 8*simclock.Hour
 	day.Diurnal, day.PushesPerHour, day.ScreenSessionsPerHour = apps.DefaultDay(), 6, 2
@@ -65,7 +91,9 @@ func recycleMix() []Config {
 	custom.Workload = append(apps.LightWorkload(), apps.SystemSpecs()...)
 	traced := heavy
 	traced.Name, traced.CollectTrace, traced.PushesPerHour = "trace", true, 3
-	return append(cfgs, faults, shed, day, zeroLat, custom, traced)
+	dense := Config{Name: "dense", Policy: "SIMTY", Workload: denseWorkload(), SystemAlarms: true,
+		Seed: 1, NoTrace: true}
+	return append(cfgs, faults, shed, day, zeroLat, custom, traced, dense)
 }
 
 // sameResult reports whether two runs of one config agree on everything
@@ -101,12 +129,16 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 
 	want := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
-		r, err := new(runEnv).run(c)
+		env := new(runEnv)
+		r, err := env.run(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		if c.Backend != nil && r.Backend.Pending == 0 {
 			t.Fatalf("%s ends with no retry in flight — test exercises less than it claims", c.Name)
+		}
+		if c.Name == "dense" && env.dev.TasksActive() == 0 {
+			t.Fatalf("%s ends with no task in flight — test exercises less than it claims", c.Name)
 		}
 		want[i] = r
 	}
@@ -181,40 +213,64 @@ func summarize(r *Result) string {
 		r.Energy.TotalMJ(), r.FinalWakeups, len(r.Records), r.DelaysAll, r.AoI)
 }
 
-// TestRunAllocsCeiling pins what a recycled run still allocates: the
-// workload's alarms and delivery closures, the one-shot IDs, the policy
-// and the Result. testing.AllocsPerRun warms the pool with one run first.
+// TestRunAllocsCeiling pins that nothing a recycled run allocates scales
+// with its workload. The alarms, their delivery callbacks and the
+// one-shot IDs come from the runtime's slab, and the tasks and retries
+// in flight at the horizon go back to their pools, so what remains is
+// the Result and the policy: SIMTY's heavy and 128-alarm dense runs
+// allocate the same two objects. Every registered policy's heavy run is
+// held to its own count, and a shedding backend adds only its stats and
+// histogram. testing.AllocsPerRun warms the pool with one run first.
 func TestRunAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, sync.Pool.Put drops a random quarter of its objects")
 	}
-	heavy := Config{Policy: "SIMTY", Workload: apps.HeavyWorkload(), SystemAlarms: true, OneShots: 6,
-		Seed: 1, NoTrace: true}
-	var dense []apps.Spec
-	for c := 0; c < 10; c++ {
-		for _, s := range apps.LightWorkload() {
-			if c > 0 {
-				s.Name = fmt.Sprintf("%s#%d", s.Name, c)
-			}
-			dense = append(dense, s)
-		}
-	}
-	for _, tc := range []struct {
-		name    string
-		cfg     Config
-		ceiling float64
-	}{
-		{"heavy", heavy, 100},
-		{"dense", Config{Policy: "SIMTY", Workload: dense, SystemAlarms: true, Seed: 1, NoTrace: true}, 350},
-	} {
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := Run(tc.cfg); err != nil {
+	allocs := func(name string, cfg Config, ceiling float64) float64 {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocations per run", tc.name, allocs)
-		if allocs > tc.ceiling {
-			t.Errorf("%s: %.0f allocations per run, ceiling %.0f", tc.name, allocs, tc.ceiling)
+		t.Logf("%s: %.0f allocations per run", name, n)
+		if n > ceiling {
+			t.Errorf("%s: %.0f allocations per run, ceiling %.0f", name, n, ceiling)
 		}
+		return n
 	}
+	heavy := Config{Policy: "SIMTY", Workload: apps.HeavyWorkload(), SystemAlarms: true, OneShots: 6,
+		Seed: 1, NoTrace: true}
+	h := allocs("heavy", heavy, 2)
+	d := allocs("dense", Config{Policy: "SIMTY", Workload: denseWorkload(), SystemAlarms: true, Seed: 1,
+		NoTrace: true}, 2)
+	if d != h {
+		t.Errorf("dense run allocates %.0f objects, heavy %.0f: something scales with the workload", d, h)
+	}
+
+	// The Result is one object; a policy with state adds itself and
+	// whatever it builds at construction.
+	policyCeilings := map[string]float64{
+		"NATIVE": 1, "NOALIGN": 1, "INTERVAL": 1, "DOZE": 1,
+		"SIMTY": 2, "SIMTY-DUR": 2, "AOI": 3,
+		"SIMTY-hw2": 4, "SIMTY-hw4": 4, "SIMTY-J": 4, "SIMTY-U": 5,
+	}
+	for _, policy := range PolicyNames() {
+		ceiling, ok := policyCeilings[policy]
+		if !ok {
+			t.Errorf("%s: no allocation ceiling", policy)
+			continue
+		}
+		c := heavy
+		c.Policy = policy
+		allocs(policy, c, ceiling)
+	}
+
+	shed := shedConfig()
+	r, err := Run(shed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Backend.Pending == 0 {
+		t.Fatal("shed ends with no retry in flight — test exercises less than it claims")
+	}
+	allocs("shed", shed, 19)
 }
