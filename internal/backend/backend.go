@@ -32,8 +32,10 @@
 package backend
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/simclock"
@@ -173,11 +175,20 @@ func (m Model) Validate() error {
 }
 
 // Histogram is a sparse per-bucket arrival count. Buckets index
-// time/Width; only non-empty buckets are stored, so a 3-hour device run
-// with a handful of sync instants costs a handful of map entries.
+// time/Width; only non-empty buckets are stored, as ascending (Index,
+// Count) pairs with positive counts. That one representation serves the
+// device run that counts arrivals, the fleet fold that merges them, the
+// shard codec that ships them and Serve's replay, none of which sorts.
 type Histogram struct {
 	Width   simclock.Duration `json:"width_ms"`
-	Buckets map[int64]int64   `json:"buckets"`
+	Buckets []Bucket          `json:"buckets"`
+}
+
+// Bucket is one non-empty histogram bucket: Count arrivals at instants
+// t with t/Width == Index.
+type Bucket struct {
+	Index int64 `json:"index"`
+	Count int64 `json:"count"`
 }
 
 // NewHistogram creates an empty histogram with the given bucket width.
@@ -185,16 +196,35 @@ func NewHistogram(width simclock.Duration) *Histogram {
 	if width <= 0 {
 		width = DefaultModel().BucketWidth
 	}
-	return &Histogram{Width: width, Buckets: map[int64]int64{}}
+	return &Histogram{Width: width}
 }
 
-// Add counts one arrival at the given instant.
+// Add counts one arrival at the given instant. A run's arrivals come in
+// time order, so Add appends a bucket or bumps the last one; an earlier
+// instant finds or inserts its bucket by binary search.
 func (h *Histogram) Add(at simclock.Time) {
-	h.Buckets[int64(at)/int64(h.Width)]++
+	b := int64(at) / int64(h.Width)
+	n := len(h.Buckets)
+	switch {
+	case n == 0 || h.Buckets[n-1].Index < b:
+		h.Buckets = append(h.Buckets, Bucket{Index: b, Count: 1})
+	case h.Buckets[n-1].Index == b:
+		h.Buckets[n-1].Count++
+	default:
+		i, found := slices.BinarySearchFunc(h.Buckets, b, func(x Bucket, index int64) int { return cmp.Compare(x.Index, index) })
+		if found {
+			h.Buckets[i].Count++
+		} else {
+			h.Buckets = slices.Insert(h.Buckets, i, Bucket{Index: b, Count: 1})
+		}
+	}
 }
 
 // Merge folds o into h with exact integer adds — commutative and
-// associative, so any fold order yields the same histogram. Mismatched
+// associative, so any fold order yields the same histogram. When h
+// already holds every bucket of o the counts add in place; otherwise h
+// grows once by the buckets it lacks and the two merge in one pass from
+// the back, so a merge costs O(len(h) + len(o)) either way. Mismatched
 // widths are a programming error (the model fixes one width per fleet).
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil {
@@ -203,33 +233,45 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o.Width != h.Width {
 		panic(fmt.Sprintf("backend: merging histograms of width %v into %v", o.Width, h.Width))
 	}
-	for b, n := range o.Buckets {
-		h.Buckets[b] += n
+	// Count o's buckets that h lacks.
+	lacks, i := 0, 0
+	for _, x := range o.Buckets {
+		for i < len(h.Buckets) && h.Buckets[i].Index < x.Index {
+			i++
+		}
+		if i == len(h.Buckets) || h.Buckets[i].Index != x.Index {
+			lacks++
+		}
+	}
+	// Merge from the back: k, the slot written next, never falls below
+	// i, the next of h's own buckets to move, so nothing is overwritten
+	// before it is read. With nothing lacking, k == i throughout and
+	// h's buckets stay where they are.
+	i = len(h.Buckets) - 1
+	h.Buckets = slices.Grow(h.Buckets, lacks)[:len(h.Buckets)+lacks]
+	k := len(h.Buckets) - 1
+	for j := len(o.Buckets) - 1; j >= 0; k-- {
+		switch x := o.Buckets[j]; {
+		case i >= 0 && h.Buckets[i].Index > x.Index:
+			h.Buckets[k] = h.Buckets[i]
+			i--
+		case i >= 0 && h.Buckets[i].Index == x.Index:
+			h.Buckets[k] = Bucket{Index: x.Index, Count: h.Buckets[i].Count + x.Count}
+			i, j = i-1, j-1
+		default:
+			h.Buckets[k] = x
+			j--
+		}
 	}
 }
 
 // Total is the number of recorded arrivals.
 func (h *Histogram) Total() int64 {
 	var t int64
-	for _, n := range h.Buckets {
-		t += n
+	for _, b := range h.Buckets {
+		t += b.Count
 	}
 	return t
-}
-
-// span returns the populated bucket range [lo, hi], ok=false when empty.
-func (h *Histogram) span() (lo, hi int64, ok bool) {
-	first := true
-	for b := range h.Buckets {
-		if first || b < lo {
-			lo = b
-		}
-		if first || b > hi {
-			hi = b
-		}
-		first = false
-	}
-	return lo, hi, !first
 }
 
 // DeviceStats is one device run's backend-interaction counters, folded
@@ -319,13 +361,10 @@ const latencySamplesPerBucket = 64
 func Serve(h *Histogram, m Model) Summary {
 	m = m.WithDefaults()
 	s := Summary{BucketWidth: m.BucketWidth}
-	if h == nil {
+	if h == nil || len(h.Buckets) == 0 {
 		return s
 	}
-	lo, hi, ok := h.span()
-	if !ok {
-		return s
-	}
+	lo, hi := h.Buckets[0].Index, h.Buckets[len(h.Buckets)-1].Index
 	rng := simclock.Rand(m.Seed)
 	bucketSec := m.BucketWidth.Seconds()
 	capPerBucket := int64(m.Capacity * bucketSec)
@@ -339,9 +378,14 @@ func Serve(h *Histogram, m Model) Summary {
 	depth.Grow(1, float64(m.QueueLimit))
 	lat.Grow(svcMinMs, float64(m.QueueLimit)/m.Capacity*1000+float64(m.ServiceMax)/float64(simclock.Millisecond))
 	var backlog int64
+	next := 0 // the first bucket not yet replayed
 	// Keep serving past the last arrival until the backlog drains.
 	for b := lo; b <= hi || backlog > 0; b++ {
-		arrivals := h.Buckets[b]
+		var arrivals int64
+		if next < len(h.Buckets) && h.Buckets[next].Index == b {
+			arrivals = h.Buckets[next].Count
+			next++
+		}
 		s.Arrivals += arrivals
 		if arrivals > s.PeakArrivals {
 			s.PeakArrivals = arrivals

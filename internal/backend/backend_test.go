@@ -48,7 +48,7 @@ func TestHistogramAddAndTotal(t *testing.T) {
 	if got := h.Total(); got != 4 {
 		t.Fatalf("Total() = %d, want 4", got)
 	}
-	want := map[int64]int64{0: 2, 1: 1, 2: 1}
+	want := []Bucket{{0, 2}, {1, 1}, {2, 1}}
 	if !reflect.DeepEqual(h.Buckets, want) {
 		t.Fatalf("Buckets = %v, want %v", h.Buckets, want)
 	}
@@ -62,7 +62,7 @@ func TestHistogramMerge(t *testing.T) {
 	b.Add(simclock.Time(15 * simclock.Second))
 	a.Merge(b)
 	a.Merge(nil) // no-op
-	want := map[int64]int64{0: 2, 1: 1}
+	want := []Bucket{{0, 2}, {1, 1}}
 	if !reflect.DeepEqual(a.Buckets, want) {
 		t.Fatalf("merged Buckets = %v, want %v", a.Buckets, want)
 	}

@@ -3,7 +3,7 @@ package backend
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/simclock"
 )
@@ -56,20 +56,15 @@ func (s *DeviceStats) UnmarshalBinary(data []byte) error {
 
 // AppendBinary appends the histogram to b and returns the extended
 // slice: the bucket width, the entry count, then the (bucket, count)
-// pairs in ascending bucket order. Sorting makes the encoding
-// deterministic even though the in-memory representation is a map, so
+// pairs in ascending bucket order — the order Buckets already keeps, so
 // identical histograms always serialize to identical bytes.
 func (h *Histogram) AppendBinary(b []byte) []byte {
+	b = slices.Grow(b, 12+16*len(h.Buckets))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.Width))
-	keys := make([]int64, 0, len(h.Buckets))
-	for k := range h.Buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
-	for _, k := range keys {
-		b = binary.LittleEndian.AppendUint64(b, uint64(k))
-		b = binary.LittleEndian.AppendUint64(b, uint64(h.Buckets[k]))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(h.Buckets)))
+	for _, x := range h.Buckets {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x.Index))
+		b = binary.LittleEndian.AppendUint64(b, uint64(x.Count))
 	}
 	return b
 }
@@ -88,19 +83,24 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 	if len(data) != 12+16*n {
 		return fmt.Errorf("backend: histogram payload is %d bytes, want %d for %d buckets", len(data), 12+16*n, n)
 	}
-	buckets := make(map[int64]int64, n)
-	for i := 0; i < n; i++ {
+	var buckets []Bucket
+	if n > 0 {
+		buckets = make([]Bucket, n)
+	}
+	for i := range buckets {
 		k := int64(binary.LittleEndian.Uint64(data[12+16*i:]))
 		v := int64(binary.LittleEndian.Uint64(data[20+16*i:]))
-		if v < 0 {
-			return fmt.Errorf("backend: negative count %d in histogram bucket %d", v, k)
+		// AppendBinary writes only non-empty buckets, in ascending order;
+		// accepting nothing else keeps decode(encode(x)) and
+		// encode(decode(b)) exact, and keeps an empty bucket from widening
+		// Serve's replay.
+		if v <= 0 {
+			return fmt.Errorf("backend: non-positive count %d in histogram bucket %d", v, k)
 		}
-		// AppendBinary writes buckets in ascending order; accepting only
-		// that order keeps decode(encode(x)) and encode(decode(b)) exact.
-		if i > 0 && k <= int64(binary.LittleEndian.Uint64(data[12+16*(i-1):])) {
+		if i > 0 && k <= buckets[i-1].Index {
 			return fmt.Errorf("backend: histogram bucket %d out of order", k)
 		}
-		buckets[k] = v
+		buckets[i] = Bucket{Index: k, Count: v}
 	}
 	h.Width, h.Buckets = width, buckets
 	return nil

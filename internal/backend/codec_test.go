@@ -10,15 +10,15 @@ import (
 
 // TestHistogramRoundTripExact: random histograms (negative bucket keys
 // included — a skewed clock can bucket before zero) survive the binary
-// round-trip exactly, and the encoding is deterministic despite the map
-// representation.
+// round-trip exactly, and the encoding is deterministic.
 func TestHistogramRoundTripExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		h := NewHistogram(simclock.Duration(1+rng.Intn(100)) * simclock.Second)
+		counts := map[int64]int64{}
 		for i, n := 0, rng.Intn(50); i < n; i++ {
-			h.Buckets[int64(rng.Intn(2000)-1000)] += int64(1 + rng.Intn(10000))
+			counts[int64(rng.Intn(2000)-1000)] += int64(1 + rng.Intn(10000))
 		}
+		h := histOf(simclock.Duration(1+rng.Intn(100))*simclock.Second, counts)
 		blob := h.AppendBinary(nil)
 		if string(blob) != string(h.AppendBinary(nil)) {
 			t.Fatal("histogram encoding is not deterministic")
@@ -58,11 +58,10 @@ func TestDeviceStatsRoundTripExact(t *testing.T) {
 }
 
 // TestCodecRejectsBadPayloads pins the rejection paths: truncation,
-// trailing garbage, bad widths, negative counters, duplicate buckets.
+// trailing garbage, bad widths, negative and zero counts, duplicate
+// buckets.
 func TestCodecRejectsBadPayloads(t *testing.T) {
-	h := NewHistogram(10 * simclock.Second)
-	h.Buckets[4] = 7
-	h.Buckets[9] = 2
+	h := histOf(10*simclock.Second, map[int64]int64{4: 7, 9: 2})
 	blob := h.AppendBinary(nil)
 
 	var into Histogram
@@ -90,6 +89,16 @@ func TestCodecRejectsBadPayloads(t *testing.T) {
 	}
 	if err := into.UnmarshalBinary(negCount); err == nil {
 		t.Error("negative bucket count accepted")
+	}
+
+	// AppendBinary never writes an empty bucket. Accepted, one ahead of
+	// the first arrival would widen Serve's replay and move QueueDepth.
+	zeroCount := append([]byte(nil), blob...)
+	for i := 20; i < 28; i++ {
+		zeroCount[i] = 0
+	}
+	if err := into.UnmarshalBinary(zeroCount); err == nil {
+		t.Error("zero bucket count accepted")
 	}
 
 	dup := append([]byte(nil), blob...)

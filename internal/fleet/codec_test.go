@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -81,6 +83,22 @@ func TestShardCodecRejectsBadFrames(t *testing.T) {
 	}
 	if _, err := DecodeShard(reframed(func(p []byte) { p[52] = 7 })); err == nil {
 		t.Error("invalid backend flag accepted")
+	}
+}
+
+// TestShardFramePinned pins one backend shard frame, the first 16
+// devices of the SIMTY-J herd fleet on one worker, byte for byte: a
+// checkpoint written by an earlier build resumes only while the frame a
+// shard encodes to stays the same.
+func TestShardFramePinned(t *testing.T) {
+	sa, err := RunShard(context.Background(), herdSpec("SIMTY-J"), 0, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := EncodeShard(sa)
+	const wantLen, wantSum = 15125, "b76c51e791a6a32378c6aa189f0f618a94ce59251c2379ea05cb7d023704aa9a"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != wantLen || sum != wantSum {
+		t.Errorf("frame is %d bytes with SHA-256 %s, want %d bytes with %s", len(blob), sum, wantLen, wantSum)
 	}
 }
 

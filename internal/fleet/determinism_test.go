@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/backend"
 )
 
 // detSpec exercises every sampled dimension so the determinism check
@@ -22,6 +24,56 @@ func detSpec() Spec {
 		TaskJitter:     Range{Min: 0, Max: 0.4},
 		BatteryScale:   Range{Min: 0.8, Max: 1.2},
 		LeakFraction:   0.2,
+	}
+}
+
+// benchFleetSpec is the fleet cmd/wakebench's fleet workload runs at
+// seed 1: report -experiment fleet's population plus the default backend
+// model, with a 5% wakelock-leak fraction.
+func benchFleetSpec(devices int) Spec {
+	m := backend.DefaultModel()
+	return Spec{
+		Devices:        devices,
+		Seed:           1,
+		Hours:          3,
+		Apps:           IntRange{Min: 4, Max: 12},
+		OneShots:       IntRange{Min: 0, Max: 6},
+		PushesPerHour:  Range{Min: 0, Max: 4},
+		ScreensPerHour: Range{Min: 0, Max: 2},
+		TaskJitter:     Range{Min: 0, Max: 0.3},
+		BatteryScale:   Range{Min: 0.9, Max: 1.1},
+		LeakFraction:   0.05,
+		Backend:        &m,
+	}
+}
+
+// TestLeakyBackendFleetByteIdenticalAcrossWorkers runs the benchmark
+// fleet, leaking devices and backend on, at one and at four workers. A
+// device's two runs share its workload, profile and fault plan, and
+// every device shares the catalogs, so under -race this also checks that
+// no run writes to what another reads.
+func TestLeakyBackendFleetByteIdenticalAcrossWorkers(t *testing.T) {
+	spec := benchFleetSpec(48)
+	spec.Hours = 1
+	var want []byte
+	for _, workers := range []int{1, 4} {
+		r, err := Run(context.Background(), spec, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Agg.Summary()
+		if s.LeakyDevices == 0 || s.Test.Backend == nil || s.Test.Backend.Arrivals == 0 {
+			t.Fatal("fleet has no leaking device or no arrivals — test exercises less than it claims")
+		}
+		got, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: summary differs from workers=1", workers)
+		}
 	}
 }
 

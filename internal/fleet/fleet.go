@@ -113,21 +113,24 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 
 // runDevices runs the devices [lo, hi) as one sim.Stream of 2×(hi-lo)
 // runs — each device's base then test config, NoTrace — and hands every
-// pair to fold in device order. The stream samples each device once,
-// when its base run is prepared, and drops each Result once folded.
+// pair to fold in device order. The stream samples each device and
+// builds its base config once, when its base run is prepared; the test
+// config is the base config under the test policy, the one difference
+// Spec.Config makes between them. Each Result is dropped once folded.
 // runProgress, when non-nil, sees every run in the range's coordinates.
 //
 // On error, fold has seen a prefix of the devices.
 func runDevices(ctx context.Context, spec Spec, lo, hi, workers int, runProgress func(sim.Progress), fold func(base, test *sim.Result)) error {
-	var d Device // prepared in order on one goroutine
+	var c sim.Config // prepared in order on one goroutine
 	cfg := func(i int) sim.Config {
-		policy := spec.TestPolicy
 		if i%2 == 0 {
-			d, policy = spec.SampleDevice(lo+i/2), spec.BasePolicy
+			c = spec.Config(spec.SampleDevice(lo+i/2), spec.BasePolicy)
+			c.NoTrace = true
+			return c
 		}
-		c := spec.Config(d, policy)
-		c.NoTrace = true
-		return c
+		test := c
+		test.Policy = spec.TestPolicy
+		return test
 	}
 	var base *sim.Result // delivered in order on this goroutine
 	return sim.Stream(ctx, 2*(hi-lo), cfg, sim.RunAllOptions{Workers: workers, Progress: runProgress}, func(i int, r *sim.Result) error {

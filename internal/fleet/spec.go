@@ -242,18 +242,28 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// catalogFor resolves a spec's catalog name to its app list. The empty
-// name is the historical default (Table 3), kept distinct from an
-// explicit "table3" only in spelling so pre-catalog specs hash and
-// sample unchanged.
+// The app catalogs devices sample from, and the profile a device's
+// battery scale applies to. Sampling and Config copy what they take, so
+// every device of every fleet shares these read-only values.
+var (
+	table3Catalog   = apps.Table3()
+	diffSyncCatalog = apps.DiffSyncWorkload()
+	mixedCatalog    = apps.MixedWorkload()
+	nexus5          = power.Nexus5()
+)
+
+// catalogFor resolves a spec's catalog name to its app list, shared and
+// read-only. The empty name is the historical default (Table 3), kept
+// distinct from an explicit "table3" only in spelling so pre-catalog
+// specs hash and sample unchanged.
 func catalogFor(name string) ([]apps.Spec, error) {
 	switch name {
 	case "", "table3":
-		return apps.Table3(), nil
+		return table3Catalog, nil
 	case "diffsync":
-		return apps.DiffSyncWorkload(), nil
+		return diffSyncCatalog, nil
 	case "mixed":
-		return apps.MixedWorkload(), nil
+		return mixedCatalog, nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown catalog %q (want table3, diffsync, or mixed)", name)
 	}
@@ -382,7 +392,7 @@ func (s Spec) Config(d Device, policy string) sim.Config {
 		cfg.Diurnal = apps.DefaultDay()
 	}
 	if d.BatteryScale != 1 {
-		p := *power.Nexus5()
+		p := *nexus5
 		p.BatteryMJ *= d.BatteryScale
 		cfg.Profile = &p
 	}

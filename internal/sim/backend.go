@@ -35,6 +35,9 @@ type backendClient struct {
 	netReady simclock.Time
 
 	stats backend.DeviceStats
+	// hist counts the run's arrivals into a bucket buffer the client
+	// keeps across runs; finish copies it out for the Result.
+	hist backend.Histogram
 
 	// freeRetries pools retry objects whose attempt has run, and reset
 	// every retry made. onWakeFn is onWake, bound once.
@@ -51,9 +54,9 @@ type backendClient struct {
 // retry pool and its two sources (reseeded). Retries still in flight
 // from an earlier run go back to the pool, so the clock and the device
 // must be reset first: none of their events or wake callbacks may fire
-// again. The stats, histogram included, start over: the run's Result
-// takes them. The caller must reset the client *before* the alarm
-// manager, so that its wake hook arms reconnect state before the
+// again. The stats and the histogram start over, the histogram on its
+// kept bucket buffer. The caller must reset the client *before* the
+// alarm manager, so that its wake hook arms reconnect state before the
 // manager's wake-flush deliveries are observed.
 func (c *backendClient) reset(clock *simclock.Clock, dev *device.Device, m backend.Model, seed int64) {
 	c.freeRetries.Reclaim()
@@ -62,7 +65,8 @@ func (c *backendClient) reset(clock *simclock.Clock, dev *device.Device, m backe
 	c.recon = simclock.Reseed(c.recon, seed+5)
 	c.shed = simclock.Reseed(c.shed, seed+6)
 	c.netReady = 0
-	c.stats = backend.DeviceStats{Hist: backend.NewHistogram(c.model.BucketWidth)}
+	c.stats = backend.DeviceStats{}
+	c.hist = backend.Histogram{Width: c.model.BucketWidth, Buckets: c.hist.Buckets[:0]}
 	c.onAttempt = nil
 	if c.onWakeFn == nil {
 		c.onWakeFn = c.onWake
@@ -106,7 +110,7 @@ func (c *backendClient) request(at simclock.Time, attempt int) {
 	if at < c.netReady {
 		at = c.netReady
 	}
-	c.stats.Hist.Add(at)
+	c.hist.Add(at)
 	if attempt == 0 {
 		c.stats.Requests++
 	} else {
@@ -191,9 +195,20 @@ func (c *backendClient) backoff(attempt int) simclock.Duration {
 }
 
 // finish closes the accounting once the horizon is reached: retry
-// chains whose next attempt never fired are pending, never lost.
+// chains whose next attempt never fired are pending, never lost. The
+// Result owns what it returns: the stats and the histogram header in one
+// allocation, and an exact-size copy of the buckets, never the buffer
+// the next run counts into.
 func (c *backendClient) finish() *backend.DeviceStats {
 	c.stats.Pending = c.stats.Shed - c.stats.Redelivered - c.stats.Dropped
-	s := c.stats
-	return &s
+	out := &struct {
+		stats backend.DeviceStats
+		hist  backend.Histogram
+	}{stats: c.stats, hist: backend.Histogram{Width: c.hist.Width}}
+	if n := len(c.hist.Buckets); n > 0 {
+		out.hist.Buckets = make([]backend.Bucket, n)
+		copy(out.hist.Buckets, c.hist.Buckets)
+	}
+	out.stats.Hist = &out.hist
+	return &out.stats
 }

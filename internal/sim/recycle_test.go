@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -219,8 +220,10 @@ func summarize(r *Result) string {
 // in flight at the horizon go back to their pools, so what remains is
 // the Result and the policy: SIMTY's heavy and 128-alarm dense runs
 // allocate the same two objects. Every registered policy's heavy run is
-// held to its own count, and a shedding backend adds only its stats and
-// histogram. testing.AllocsPerRun warms the pool with one run first.
+// held to its own count, and a backend adds two objects to a run, its
+// stats with the histogram header and the exact-size copy of its
+// arrival buckets. testing.AllocsPerRun warms the pool with one run
+// first.
 func TestRunAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, sync.Pool.Put drops a random quarter of its objects")
@@ -264,6 +267,14 @@ func TestRunAllocsCeiling(t *testing.T) {
 		allocs(policy, c, ceiling)
 	}
 
+	// The model cmd/wakebench's fleet runs every device with.
+	model := backend.DefaultModel()
+	backed := heavy
+	backed.Backend = &model
+	allocs("heavy backend", backed, 4)
+
+	// shed keeps its records: the Result, the record slice, and the
+	// backend's two objects.
 	shed := shedConfig()
 	r, err := Run(shed)
 	if err != nil {
@@ -272,5 +283,34 @@ func TestRunAllocsCeiling(t *testing.T) {
 	if r.Backend.Pending == 0 {
 		t.Fatal("shed ends with no retry in flight — test exercises less than it claims")
 	}
-	allocs("shed", shed, 19)
+	allocs("shed", shed, 4)
+}
+
+// TestResultOwnsItsBuckets: the backend client counts every run's
+// arrivals into one bucket buffer its environment keeps, so a Result
+// must leave with a copy. Two backend configs with different arrivals
+// run back to back on one environment; the second run must not change
+// the first Result's buckets. TestRecycledRunMatchesFresh cannot tell: a
+// later run of the same config rewrites identical buckets.
+func TestResultOwnsItsBuckets(t *testing.T) {
+	first := shedConfig()
+	second := notraceConfig("SIMTY")
+	second.Seed, second.Backend = 7, &backend.Model{}
+	env := new(runEnv)
+	a, err := env.run(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(a.Backend.Hist.Buckets)
+	b, err := env.run(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := min(len(want), len(b.Backend.Hist.Buckets))
+	if slices.Equal(b.Backend.Hist.Buckets[:n], want[:n]) {
+		t.Fatal("the two runs count the same leading buckets — test exercises less than it claims")
+	}
+	if !slices.Equal(a.Backend.Hist.Buckets, want) {
+		t.Fatal("a later run on the same environment rewrote an earlier Result's arrival buckets")
+	}
 }
