@@ -37,7 +37,12 @@ type ActivityOracle interface {
 	NextActiveStart(t simclock.Time) (simclock.Time, bool)
 }
 
-// Factory constructs a fresh policy instance for one run.
+// Factory constructs a fresh policy instance for one run. PolicyByName
+// calls it on every lookup, so a caller may write into the instance it
+// gets. A simulation environment keeps an instance that has a
+// Reset(PolicyContext) method and is named for its registration, and
+// reuses it for later runs of that name: the factory then promises that
+// Reset(ctx) leaves the instance as the factory builds it for ctx.
 type Factory func(ctx PolicyContext) (Policy, error)
 
 // registry is the global policy table. Policies register under an

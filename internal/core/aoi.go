@@ -33,6 +33,10 @@ func NewAoIAware() *AoIAware { return &AoIAware{Inner: NewSimty()} }
 // Name implements alarm.Policy.
 func (p *AoIAware) Name() string { return "AOI" }
 
+// Reset leaves the policy as the registry builds it for a run (see
+// alarm.Factory): AOI keeps no per-run state.
+func (p *AoIAware) Reset(alarm.PolicyContext) {}
+
 // Select implements alarm.Policy: the most preferable applicable entry
 // that also keeps every member inside its freshness cap.
 func (p *AoIAware) Select(entries []*alarm.Entry, a *alarm.Alarm, _ simclock.Time) int {

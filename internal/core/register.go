@@ -29,6 +29,19 @@ func JitterPhase(seed int64, spread simclock.Duration) simclock.Duration {
 	return phase
 }
 
+// defaultDay is the canonical day shape SIMTY-U falls back to in
+// standalone use (wakesim -policy SIMTY-U without a diurnal workload).
+// Nothing writes to it, so every instance shares it.
+var defaultDay = apps.DefaultDay()
+
+// activityOf is the activity oracle SIMTY-U runs on under ctx.
+func activityOf(ctx alarm.PolicyContext) alarm.ActivityOracle {
+	if ctx.Activity == nil {
+		return defaultDay
+	}
+	return ctx.Activity
+}
+
 // The SIMTY family registers at package load; internal/sim imports this
 // package, so every simulator entry point sees the full table.
 func init() {
@@ -51,13 +64,7 @@ func init() {
 		}, nil
 	})
 	alarm.MustRegister("SIMTY-U", func(ctx alarm.PolicyContext) (alarm.Policy, error) {
-		day := ctx.Activity
-		if day == nil {
-			// Standalone use (wakesim -policy SIMTY-U without a diurnal
-			// workload) falls back to the canonical day shape.
-			day = apps.DefaultDay()
-		}
-		return NewUserAware(day), nil
+		return NewUserAware(activityOf(ctx)), nil
 	})
 	alarm.MustRegister("AOI", func(alarm.PolicyContext) (alarm.Policy, error) {
 		return NewAoIAware(), nil

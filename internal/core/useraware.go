@@ -37,6 +37,10 @@ func NewUserAware(day alarm.ActivityOracle) *UserAware {
 // Name implements alarm.Policy.
 func (u *UserAware) Name() string { return "SIMTY-U" }
 
+// Reset leaves the policy as the registry builds it for a run (see
+// alarm.Factory): on the run's activity oracle.
+func (u *UserAware) Reset(ctx alarm.PolicyContext) { u.Day = activityOf(ctx) }
+
 // Select implements alarm.Policy: SIMTY's choice when it finds an
 // applicable entry; otherwise, in inactive phases, the best
 // hardware-similar entry reachable by widening grace intervals by at

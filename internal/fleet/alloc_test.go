@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
 )
 
@@ -11,16 +10,14 @@ import (
 // devices on one worker, so the pool, the aggregate and the warm-up
 // cancel out. A device samples its app mix and builds one base config,
 // whose test config differs only in the policy; its two runs allocate
-// their Results, the SIMTY policy and each run's backend stats and
-// arrival buckets. The catalogs and the Nexus 5 profile are shared.
+// their Results and each run's backend stats and arrival buckets. The
+// catalogs, the Nexus 5 profile and the environment's SIMTY policy are
+// shared. The run environments stay on their free list through
+// collections, so the count holds with collection on.
 func TestRunShardAllocsPerDevice(t *testing.T) {
 	if raceEnabled {
-		t.Skip("under -race, sync.Pool.Put drops a random quarter of its objects")
+		t.Skip("under -race, fmt's own sync.Pool drops printers on purpose, and the devices' names are printed")
 	}
-	// A collection empties the sync.Pools the runs draw from, and
-	// refilling them allocates, so where collections fall would move the
-	// count by a few objects. With collection off, it is exact.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(devices int) float64 {
 		spec := benchFleetSpec(devices)
 		return testing.AllocsPerRun(3, func() {
@@ -32,7 +29,7 @@ func TestRunShardAllocsPerDevice(t *testing.T) {
 	lo, hi := allocs(32), allocs(96)
 	slope := (hi - lo) / 64
 	t.Logf("32 devices: %.0f allocations, 96: %.0f, %.2f per device", lo, hi, slope)
-	if slope > 13.5 {
-		t.Errorf("%.2f allocations per device, ceiling 13.5", slope)
+	if slope > 12.5 {
+		t.Errorf("%.2f allocations per device, ceiling 12.5", slope)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/alarm"
+	"repro/internal/apps"
 	"repro/internal/sim"
 	"repro/internal/simclock"
 )
@@ -76,6 +77,36 @@ func (panicPolicy) Select([]*alarm.Entry, *alarm.Alarm, simclock.Time) int {
 
 func init() {
 	alarm.MustRegister("FLEET-PANIC", func(alarm.PolicyContext) (alarm.Policy, error) { return panicPolicy{}, nil })
+	// FLEET-SEEDED hands out the registry's own policies by seed:
+	// SIMTY-hw2 on odd seeds, SIMTY on even ones.
+	alarm.MustRegister("FLEET-SEEDED", func(ctx alarm.PolicyContext) (alarm.Policy, error) {
+		if ctx.Seed%2 != 0 {
+			return alarm.PolicyByName("SIMTY-hw2", ctx)
+		}
+		return alarm.PolicyByName("SIMTY", ctx)
+	})
+}
+
+// TestPluginFactoryRunsForEachRun: a run environment keeps only a
+// registry policy named for its own registration, so a plug-in whose
+// factory hands out another registration's policy is built for every
+// run. Consecutive runs on one goroutine share an environment; had it
+// kept the SIMTY-hw2 built for seed 1, seed 2 would run it again.
+func TestPluginFactoryRunsForEachRun(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r, err := sim.Run(sim.Config{Policy: "FLEET-SEEDED", Workload: apps.LightWorkload(), Seed: seed,
+			Duration: simclock.Hour, NoTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "SIMTY"
+		if seed%2 != 0 {
+			want = "SIMTY-hw2"
+		}
+		if r.PolicyName != want {
+			t.Errorf("seed %d ran %s, its factory builds %s", seed, r.PolicyName, want)
+		}
+	}
 }
 
 // TestRunPanickingPolicyIsAnError: a policy that panics mid-fleet comes

@@ -5,7 +5,11 @@
 // these objects are bounded by its concurrency, not its event count.
 //
 // A List is not safe for concurrent use; each belongs to one simulation.
+// What simulations share, whole run environments and the sources
+// simclock.Draw lends out, goes through a Locked list.
 package freelist
+
+import "sync"
 
 // List holds recycled *T objects. The zero value is an empty list.
 type List[T any] struct {
@@ -53,4 +57,28 @@ func (l *List[T]) Reclaim() {
 	for i := len(l.made) - 1; i >= 0; i-- {
 		l.free = append(l.free, l.made[i])
 	}
+}
+
+// Locked is a List guarded by a mutex, safe for concurrent use. It has
+// no cap: it holds as many objects as its callers ever held at once, and
+// keeps them for good, so a caller that puts its object back gets the
+// same one on its next Get, whatever collections ran in between. The
+// zero value is an empty list.
+type Locked[T any] struct {
+	mu sync.Mutex
+	l  List[T]
+}
+
+// Get is List.Get under the lock.
+func (l *Locked[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.l.Get()
+}
+
+// Put is List.Put under the lock.
+func (l *Locked[T]) Put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.l.Put(x)
 }

@@ -1,6 +1,11 @@
 package freelist
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
 
 func TestListIsLIFO(t *testing.T) {
 	var l List[int]
@@ -50,5 +55,53 @@ func TestReclaimReturnsEveryObjectInOrderMade(t *testing.T) {
 	}
 	if l.Get() != nil {
 		t.Fatal("Reclaim put an object back twice")
+	}
+}
+
+// TestLockedHandsEachObjectToOneCaller: goroutines that get an object,
+// or make one when the list is empty, and put it back never share one,
+// and the list ends holding every object made, at most one per
+// goroutine. A lone caller then gets the last object put.
+func TestLockedHandsEachObjectToOneCaller(t *testing.T) {
+	const goroutines, rounds = 4, 1000
+	var l Locked[int]
+	var wg sync.WaitGroup
+	var made atomic.Int64
+	for g := 1; g <= goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				x := l.Get()
+				if x == nil {
+					x = new(int)
+					made.Add(1)
+				}
+				*x = g
+				runtime.Gosched()
+				if *x != g {
+					t.Error("two callers hold one object")
+					return
+				}
+				l.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[*int]bool{}
+	for x := l.Get(); x != nil; x = l.Get() {
+		if seen[x] {
+			t.Fatal("the list holds an object twice")
+		}
+		seen[x] = true
+	}
+	if n := made.Load(); int64(len(seen)) != n || n > goroutines {
+		t.Fatalf("%d objects made, %d on the list, want equal and at most %d", n, len(seen), goroutines)
+	}
+	x := new(int)
+	l.Put(new(int))
+	l.Put(x)
+	if l.Get() != x {
+		t.Fatal("Get did not return the last object put")
 	}
 }

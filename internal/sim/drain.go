@@ -40,12 +40,12 @@ const maxDrainHorizon = 1000 * simclock.Duration(simclock.Hour)
 // itself — including the push and screen-session processes — continues
 // until the battery dies.
 func RunToEmpty(cfg Config) (*DrainResult, error) {
-	env := envPool.Get().(*runEnv)
+	env := getEnv()
 	res, err := env.drain(cfg)
 	if err != nil {
 		return nil, err
 	}
-	envPool.Put(env)
+	env.release()
 	return res, nil
 }
 

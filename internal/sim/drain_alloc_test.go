@@ -15,7 +15,7 @@ func heavyDrain() Config {
 }
 
 // drainBytes returns what one RunToEmpty of cfg allocates, with the
-// environment pool warmed by a drain first.
+// environment warmed by a drain first.
 func drainBytes(t *testing.T, cfg Config) (*DrainResult, uint64) {
 	t.Helper()
 	if _, err := RunToEmpty(cfg); err != nil {
@@ -56,9 +56,6 @@ func TestRunToEmptyKeepsNoRecords(t *testing.T) {
 		switch {
 		case mode.collect && d.Trace == nil:
 			t.Errorf("%s: no trace", mode.name)
-		case raceEnabled && !mode.collect:
-			// Under -race sync.Pool drops environments on purpose, so a
-			// drain may build a fresh one.
 		case bytes > mode.maxBytes:
 			t.Errorf("%s: drain allocated %.1f MB, ceiling %.0f MB", mode.name, float64(bytes)/(1<<20), float64(mode.maxBytes)/(1<<20))
 		}

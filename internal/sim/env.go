@@ -3,12 +3,13 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"strings"
 
 	"repro/internal/alarm"
 	"repro/internal/apps"
 	"repro/internal/device"
 	"repro/internal/fault"
+	"repro/internal/freelist"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/power"
@@ -26,10 +27,11 @@ import (
 // wrong workload.
 //
 // An environment outlives its run: reset rebuilds it in place for the
-// next Config, and Run and RunToEmpty return it to envPool once the
-// result is out. The layers' pools, buffers, maps and RNG sources then
-// start the next run already grown. The zero runEnv goes through the same
-// reset, so a fresh and a recycled environment run the same code.
+// next Config, and Run and RunToEmpty put it back on envs once the
+// result is out. The layers' pools, buffers, maps and RNG sources, and
+// the registry policy it built, then start the next run already grown.
+// The zero runEnv goes through the same reset, so a fresh and a recycled
+// environment run the same code.
 type runEnv struct {
 	cfg     Config // defaults applied
 	pol     alarm.Policy
@@ -70,12 +72,42 @@ type runEnv struct {
 
 	// observeFn is observe, bound once.
 	observeFn func(alarm.Record)
+
+	// kept is the last registry policy this environment built that it
+	// may reuse (a resetter named for its registration), and keptName
+	// the Config.Policy it was built for.
+	kept     alarm.Policy
+	keptName string
 }
 
-// envPool holds the environments of finished runs for the next ones.
-// Nothing a Result owns comes from it, and a run that errors or panics
-// never returns its environment.
-var envPool = sync.Pool{New: func() any { return new(runEnv) }}
+// envs holds the environments of finished runs for the next ones: one
+// for each run that ever ran at once, kept for good, so that a loop of
+// runs gets its warm environment back whatever collections ran in
+// between. Nothing a Result owns stays in them (release), and a run
+// that errors or panics never returns its environment.
+var envs freelist.Locked[runEnv]
+
+// getEnv takes an environment off envs, or makes a zero one.
+func getEnv() *runEnv {
+	if env := envs.Get(); env != nil {
+		return env
+	}
+	return new(runEnv)
+}
+
+// release drops env's references to what its run's result owns, the
+// retained records and the trace logger with the device and wakelock
+// hooks that point at it, and puts env back on envs.
+func (env *runEnv) release() {
+	if env.logger != nil {
+		env.dev.OnTask(nil)
+		// This drops the accountant's subscription too; the device's
+		// Reset in the next run subscribes it again.
+		env.dev.Wakelocks().Reset()
+	}
+	env.recs, env.logger = nil, nil
+	envs.Put(env)
+}
 
 // defaultProfile is the Nexus 5 profile a Config without one runs on, and
 // systemSpecs the population Config.SystemAlarms installs. Nothing writes
@@ -153,13 +185,8 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 	}
 	pol := cfg.Custom
 	if pol == nil {
-		pctx := alarm.PolicyContext{Seed: cfg.Seed}
-		if cfg.Diurnal != nil {
-			pctx.Activity = cfg.Diurnal
-		}
 		var err error
-		pol, err = alarm.PolicyByName(cfg.Policy, pctx)
-		if err != nil {
+		if pol, err = env.registryPolicy(cfg); err != nil {
 			return err
 		}
 	}
@@ -286,6 +313,37 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 		}
 	}
 	return nil
+}
+
+// resetter is a registry policy an environment may keep across runs:
+// Reset(ctx) leaves it as its factory builds it for ctx (alarm.Factory).
+type resetter interface {
+	Reset(ctx alarm.PolicyContext)
+}
+
+// registryPolicy resolves cfg.Policy: the kept policy, reset for this
+// run, when it was built for the same name, or else a fresh one from the
+// registry, which becomes the kept one when it can be reset. A plug-in
+// factory may hand out another registration's policy, whose Reset knows
+// nothing of the plug-in's factory, so only a policy named for its own
+// registration is kept.
+func (env *runEnv) registryPolicy(cfg Config) (alarm.Policy, error) {
+	pctx := alarm.PolicyContext{Seed: cfg.Seed}
+	if cfg.Diurnal != nil {
+		pctx.Activity = cfg.Diurnal
+	}
+	if env.kept != nil && cfg.Policy == env.keptName {
+		env.kept.(resetter).Reset(pctx)
+		return env.kept, nil
+	}
+	pol, err := alarm.PolicyByName(cfg.Policy, pctx)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := pol.(resetter); ok && strings.EqualFold(pol.Name(), cfg.Policy) {
+		env.kept, env.keptName = pol, cfg.Policy
+	}
+	return pol, nil
 }
 
 // screenSessionDur is how long one screen-on session keeps the screen

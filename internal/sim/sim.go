@@ -262,12 +262,12 @@ type Result struct {
 // Run executes one simulation and computes all derived metrics.
 func Run(cfg Config) (*Result, error) {
 	start := time.Now()
-	env := envPool.Get().(*runEnv)
+	env := getEnv()
 	res, err := env.run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	envPool.Put(env)
+	env.release()
 	res.Wall = time.Since(start)
 	return res, nil
 }

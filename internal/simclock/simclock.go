@@ -20,7 +20,6 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/freelist"
 )
@@ -338,16 +337,16 @@ func Reseed(r *rand.Rand, seed int64) *rand.Rand {
 	return r
 }
 
-// drawPool holds the sources Draw recycles.
-var drawPool sync.Pool
+// drawSources holds the sources Draw recycles: one for each call that
+// ever ran at once.
+var drawSources freelist.Locked[rand.Rand]
 
 // Draw calls fn with a source in the state Rand(seed) starts in, taken
-// from a pool of sources earlier calls used, for the callers that need a
+// from the sources earlier calls used, for the callers that need a
 // handful of draws from a fresh stream. fn must not keep the source. Draw
 // is safe for concurrent use.
 func Draw(seed int64, fn func(*rand.Rand)) {
-	r, _ := drawPool.Get().(*rand.Rand)
-	r = Reseed(r, seed)
+	r := Reseed(drawSources.Get(), seed)
 	fn(r)
-	drawPool.Put(r)
+	drawSources.Put(r)
 }
