@@ -11,7 +11,9 @@
 #                   single-shot pass over the microbenchmarks: smoke,
 #                   not measurement), and wakebench-test (vet and tests
 #                   of the cmd/wakebench module, which the root
-#                   `go test ./...` does not reach). hammer, fuzz-smoke
+#                   `go test ./...` does not reach), and integration (a
+#                   doubled race pass over the daemon, multi-process
+#                   sharding and tournament packages). hammer, fuzz-smoke
 #                   and kill-a-worker first fail on any entry of their
 #                   test lists that selects no test.
 #   make test     — tier-1 tests only (what CI must keep green).
@@ -33,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: verify test race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test fuzz bench bench-gate bench-baseline vet build serve docker
+.PHONY: verify test race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test integration fuzz bench bench-gate bench-baseline vet build serve docker
 
 # Kernel benchmark selection shared by bench, bench-baseline, and the
 # verify smoke; BENCHCOUNT repetitions feed benchgate's median. The
@@ -100,7 +102,7 @@ endef
 COVERMIN ?= 70
 COVERPKGS = ./internal/pool/ ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
 
-verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test
+verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test integration
 
 race:
 	$(GO) test -race ./...
@@ -131,6 +133,16 @@ bench-smoke:
 # yet it compiles against the fleet and shardexec APIs.
 wakebench-test:
 	cd cmd/wakebench && $(GO) vet ./... && $(GO) test ./...
+
+# integration runs every test of three integration layers twice under
+# the race detector, one go test per layer so a failure names it: the
+# daemon (run store, HTTP/SSE surface, wakesimd), multi-process sharding
+# (shard supervisor and the wakesim CLI that drives it), and the
+# tournament.
+integration:
+	$(GO) test -race -count=2 ./internal/runstore/ ./internal/httpapi/ ./cmd/wakesimd/
+	$(GO) test -race -count=2 ./internal/shardexec/ ./cmd/wakesim/
+	$(GO) test -race -count=2 ./internal/tournament/
 
 # cover fails if any core package's statement coverage drops below the
 # floor; the awk exit carries the verdict so the gate works without any

@@ -102,7 +102,7 @@ func (o *options) validate(explicit map[string]bool) error {
 	if _, err := simclock.Horizon(o.hours); err != nil {
 		return fmt.Errorf("-hours: %w", err)
 	}
-	if _, err := sim.PolicyByName(o.policy); err != nil {
+	if err := sim.CheckPolicy(o.policy); err != nil {
 		return err
 	}
 	return nil

@@ -178,7 +178,7 @@ func (o *options) validate(explicit map[string]bool) error {
 		}
 		return nil
 	}
-	if _, err := sim.PolicyByName(o.policy); err != nil {
+	if err := sim.CheckPolicy(o.policy); err != nil {
 		return err
 	}
 	if o.fleet < 0 {

@@ -77,7 +77,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.maxRuns, "maxruns", runstore.DefaultMaxConcurrent, "maximum simulations executing at once (further submissions queue)")
-	fs.IntVar(&o.workers, "workers", 0, "per-simulation worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "per-fleet worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.snapshot, "snapshot", fleet.DefaultSnapshotEvery, "devices folded between SSE aggregate snapshots")
 	fs.Int64Var(&o.maxBody, "maxbody", 1<<20, "maximum request body size in bytes")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "shutdown grace: how long to let in-flight runs finish")

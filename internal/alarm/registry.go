@@ -10,9 +10,8 @@ import (
 
 // PolicyContext carries the per-run parameters a policy factory may need.
 // Policies that ignore it (every policy in this package) behave
-// identically for any context, which keeps the seedless validation
-// lookups (fleet specs, HTTP request checking) equivalent to the seeded
-// run-time lookup.
+// identically for any context, which keeps a seedless lookup equivalent
+// to the seeded run-time lookup.
 type PolicyContext struct {
 	// Seed is the run's simulation seed. Seeded policies (SIMTY-J's
 	// per-device phase) derive their dedicated RNG streams from it, the
@@ -21,8 +20,8 @@ type PolicyContext struct {
 	// Activity, when non-nil, describes the user's diurnal activity
 	// pattern (apps.DayProfile implements it). Context-aware policies
 	// read it to decide when the user is interacting; seed-only
-	// policies ignore it, so the seedless validation lookups stay
-	// equivalent to run-time lookups.
+	// policies ignore it, so seedless lookups stay equivalent to
+	// run-time lookups.
 	Activity ActivityOracle
 }
 
@@ -87,13 +86,29 @@ func MustRegister(name string, f Factory) {
 
 // PolicyByName constructs a registered policy, case-insensitively.
 func PolicyByName(name string, ctx PolicyContext) (Policy, error) {
+	f, err := factory(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(ctx)
+}
+
+// CheckPolicy reports whether a policy is registered, with
+// PolicyByName's error when it is not, and builds nothing.
+func CheckPolicy(name string) error {
+	_, err := factory(name)
+	return err
+}
+
+// factory looks a registered policy up, case-insensitively.
+func factory(name string) (Factory, error) {
 	registry.RLock()
 	f := registry.byKey[strings.ToUpper(name)]
 	registry.RUnlock()
 	if f == nil {
 		return nil, fmt.Errorf("alarm: unknown policy %q", name)
 	}
-	return f(ctx)
+	return f, nil
 }
 
 // PolicyNames lists the registered display names in registration order:

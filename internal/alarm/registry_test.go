@@ -2,6 +2,8 @@ package alarm
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hw"
@@ -46,6 +48,38 @@ func TestPolicyByNameUnknown(t *testing.T) {
 	_, err := PolicyByName("NO-SUCH-POLICY", PolicyContext{})
 	if err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("want 'unknown policy' error, got %v", err)
+	}
+}
+
+// checkedBuilds counts the builds of test-check-policy, which the
+// registry takes once per process however often the test runs.
+var (
+	registerChecked sync.Once
+	checkedBuilds   atomic.Int64
+)
+
+// TestCheckPolicyBuildsNothing: the validation lookup accepts what
+// PolicyByName accepts, in any casing, fails with its error text, and
+// never calls a factory.
+func TestCheckPolicyBuildsNothing(t *testing.T) {
+	registerChecked.Do(func() {
+		MustRegister("test-check-policy", func(PolicyContext) (Policy, error) {
+			checkedBuilds.Add(1)
+			return Native{}, nil
+		})
+	})
+	checkedBuilds.Store(0)
+	for _, name := range []string{"TEST-CHECK-POLICY", "test-check-policy", "native"} {
+		if err := CheckPolicy(name); err != nil {
+			t.Fatalf("CheckPolicy(%q): %v", name, err)
+		}
+	}
+	if n := checkedBuilds.Load(); n != 0 {
+		t.Fatalf("CheckPolicy built the policy %d times", n)
+	}
+	_, want := PolicyByName("NO-SUCH-POLICY", PolicyContext{})
+	if err := CheckPolicy("NO-SUCH-POLICY"); err == nil || err.Error() != want.Error() {
+		t.Fatalf("CheckPolicy(unknown) = %v, want %v", err, want)
 	}
 }
 

@@ -13,6 +13,7 @@ package apps
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/alarm"
 	"repro/internal/device"
@@ -103,18 +104,24 @@ func HeavyWorkload() []Spec { return Table3() }
 
 // Workload resolves a built-in workload name — light, heavy or table3 —
 // to its app specs. It is the one vocabulary of the single-device
-// surfaces (wakesim -workload and the service's run spec).
+// surfaces (wakesim -workload and the service's run spec). The specs
+// are built once and shared by every caller, which must not write into
+// them: a run installs copies.
 func Workload(name string) ([]Spec, error) {
 	switch name {
 	case "light":
-		return LightWorkload(), nil
-	case "heavy":
-		return HeavyWorkload(), nil
-	case "table3":
-		return Table3(), nil
+		return lightWorkload, nil
+	case "heavy", "table3":
+		return table3, nil
 	}
 	return nil, fmt.Errorf("unknown workload %q (want light, heavy, or table3)", name)
 }
+
+// The specs Workload shares, clipped so that an append copies them.
+var (
+	lightWorkload = slices.Clip(LightWorkload())
+	table3        = Table3()
+)
 
 // SystemSpecs returns a background population of system-service alarms
 // (sync adapters, connectivity checks, battery stats...). They wakelock

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,6 +65,30 @@ func TestWorkloads(t *testing.T) {
 	}
 	if !seen[wps] || !seen[accel] {
 		t.Fatal("heavy workload missing WPS/accelerometer apps")
+	}
+}
+
+// TestWorkloadByNameIsShared: Workload answers each built-in name with
+// its catalog, built once, so a lookup copies nothing, and an append to
+// what it returns cannot write into the shared array.
+func TestWorkloadByNameIsShared(t *testing.T) {
+	for name, want := range map[string][]Spec{"light": LightWorkload(), "heavy": HeavyWorkload(), "table3": Table3()} {
+		got, err := Workload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Workload(%q) = %d specs, not the catalog's %d", name, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Workload(%q) has room to append in place: len %d, cap %d", name, len(got), cap(got))
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { Workload("heavy") }); n != 0 {
+		t.Fatalf("Workload allocates %v objects per lookup, want 0", n)
+	}
+	if _, err := Workload("gigantic"); err == nil || !strings.Contains(err.Error(), "unknown workload") {
+		t.Fatalf("Workload(gigantic) = %v, want an unknown workload error", err)
 	}
 }
 

@@ -206,7 +206,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("fleet: grace factor %v outside (0, 1)", s.Beta)
 	}
 	for _, p := range []string{s.BasePolicy, s.TestPolicy} {
-		if _, err := sim.PolicyByName(p); err != nil {
+		if err := sim.CheckPolicy(p); err != nil {
 			return fmt.Errorf("fleet: %w", err)
 		}
 	}

@@ -2,11 +2,11 @@
 // and whole-fleet specs, fetch stored results, cancel in-flight work,
 // and tail per-device progress plus live aggregate snapshots over
 // Server-Sent Events. State lives in an internal/runstore Store. A run
-// executes on the run pool (sim.RunAll) and a fleet through
-// shardexec.Run — in this process, or across worker processes when
-// Options.Procs > 0 — so everything the library guarantees —
-// determinism, byte-identical aggregates, partial results on failure —
-// holds verbatim for results fetched over HTTP.
+// executes through sim.Run and a fleet through shardexec.Run — in this
+// process, or across worker processes when Options.Procs > 0 — so
+// everything the library guarantees — determinism, byte-identical
+// aggregates, partial results on failure — holds verbatim for results
+// fetched over HTTP.
 //
 //	POST   /runs               submit one device run (RunSpec JSON)
 //	POST   /fleets             submit a fleet (fleet.Spec JSON)
@@ -41,7 +41,7 @@ import (
 
 // Options tune the service.
 type Options struct {
-	// Workers bounds each execution's run pool; ≤ 0 means GOMAXPROCS.
+	// Workers bounds each fleet's run pool; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// SnapshotEvery is the fold interval between SSE aggregate
 	// snapshots; ≤ 0 means fleet.DefaultSnapshotEvery.
@@ -137,14 +137,17 @@ func (s *Server) submit(w http.ResponseWriter, kind string, exec runstore.Exec) 
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	w.Header().Set("Location", fmt.Sprintf("/%ss/%s", kind, run.ID))
+	w.Header().Set("Location", "/"+kind+"s/"+run.ID)
 	writeJSON(w, http.StatusAccepted, run)
 }
 
 // submitRun accepts a single-device spec via the specjson path and
-// executes it on the run pool (one run: context cancellation and panic
-// isolation come with the pool). The run keeps no Records: summarize
-// reads only the metrics a NoTrace run streams.
+// executes it with sim.Run. sim.Run does not watch the context, so the
+// context is checked before the run and again after it: a run whose
+// context ends first never runs, and one cancelled while it runs lands
+// cancelled with no result. The store fails a run that panics. The run
+// keeps no Records: summarize reads only the metrics a NoTrace run
+// streams.
 func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
 	if err := s.decode(w, r, &spec); err != nil {
@@ -158,13 +161,19 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg.NoTrace = true
 	s.submit(w, "run", func(ctx context.Context, h runstore.Handle) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		h.SetProgress(0, 1)
-		rs, err := sim.RunAll(ctx, []sim.Config{cfg}, sim.RunAllOptions{Workers: s.opts.Workers})
+		r, err := sim.Run(cfg)
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err != nil {
 			return nil, err
 		}
 		h.SetProgress(1, 1)
-		return summarize(rs[0]), nil
+		return summarize(r), nil
 	})
 }
 

@@ -5,18 +5,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/alarm"
 	"repro/internal/fleet"
 	"repro/internal/runstore"
 	"repro/internal/sim"
+	"repro/internal/simclock"
 )
 
 // newTestServer stands up the full service over real HTTP (SSE needs a
@@ -703,4 +707,198 @@ func TestSubmitAfterDrainRejected(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("POST after drain = %d, want 503", status)
 	}
+}
+
+// panicPolicy stands in for a buggy registered policy, as fleet's
+// FLEET-PANIC does: its first Select panics mid-run.
+type panicPolicy struct{}
+
+func (panicPolicy) Name() string { return "HTTPAPI-PANIC" }
+func (panicPolicy) Select([]*alarm.Entry, *alarm.Alarm, simclock.Time) int {
+	panic("poisoned policy")
+}
+
+// runGate holds an HTTPAPI-GATE run in its first Select until the test
+// that armed it opens it, so the test acts on a run that is certainly
+// executing.
+type runGate struct {
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+// gate is the runGate the next HTTPAPI-GATE run takes.
+var gate atomic.Pointer[runGate]
+
+type gatePolicy struct{ g *runGate }
+
+func (gatePolicy) Name() string { return "HTTPAPI-GATE" }
+func (p gatePolicy) Select([]*alarm.Entry, *alarm.Alarm, simclock.Time) int {
+	p.g.once.Do(func() { close(p.g.entered) })
+	<-p.g.open
+	return -1
+}
+
+func init() {
+	alarm.MustRegister("HTTPAPI-PANIC", func(alarm.PolicyContext) (alarm.Policy, error) { return panicPolicy{}, nil })
+	alarm.MustRegister("HTTPAPI-GATE", func(alarm.PolicyContext) (alarm.Policy, error) { return gatePolicy{gate.Load()}, nil })
+}
+
+// TestCancelRunningRunLandsInCancelled: a single run DELETEd while
+// sim.Run executes it lands cancelled with no result, as a fleet does,
+// although sim.Run itself goes on to finish the run.
+func TestCancelRunningRunLandsInCancelled(t *testing.T) {
+	ts, _ := newTestServer(t, 1)
+	g := &runGate{entered: make(chan struct{}), open: make(chan struct{})}
+	gate.Store(g)
+	open := sync.OnceFunc(func() { close(g.open) })
+	t.Cleanup(open) // before the server's cleanup drains the store
+	status, run := post(t, ts.URL+"/runs", `{"workload": "light", "hours": 0.25, "policy": "HTTPAPI-GATE"}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST /runs = %d", status)
+	}
+	select {
+	case <-g.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("run never reached its policy")
+	}
+	url := ts.URL + "/runs/" + run.ID
+	req, _ := http.NewRequest(http.MethodDelete, url, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE = %d, want 202", resp.StatusCode)
+	}
+	open()
+	e := waitTerminal(t, url)
+	if e.State != runstore.StateCancelled || (len(e.Result) != 0 && string(e.Result) != "null") {
+		t.Fatalf("state = %s (%s), result %s; want cancelled with no result", e.State, e.Error, e.Result)
+	}
+}
+
+// TestPanickingRunFailsAlone: a run whose policy panics lands in failed
+// with the panic value in its error, and the server goes on to run the
+// next submission.
+func TestPanickingRunFailsAlone(t *testing.T) {
+	ts, _ := newTestServer(t, 1)
+	status, bad := post(t, ts.URL+"/runs", `{"workload": "light", "hours": 0.25, "policy": "HTTPAPI-PANIC"}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST /runs = %d", status)
+	}
+	e := waitTerminal(t, ts.URL+"/runs/"+bad.ID)
+	if e.State != runstore.StateFailed || !strings.Contains(e.Error, "poisoned policy") {
+		t.Fatalf("panicking run = %s (%.200q), want failed naming the panic", e.State, e.Error)
+	}
+	_, good := post(t, ts.URL+"/runs", `{"workload": "light", "hours": 0.25}`)
+	if e := waitTerminal(t, ts.URL+"/runs/"+good.ID); e.State != runstore.StateDone {
+		t.Fatalf("run after the panic = %s (%s), want done", e.State, e.Error)
+	}
+}
+
+// TestSSEStateFrameBytes pins the bytes of a finished run's whole
+// stream: its opening state frame and its done frame carry the keys in
+// sorted order, error first when there is one.
+func TestSSEStateFrameBytes(t *testing.T) {
+	ts, store := newTestServer(t, 1)
+	ok, _ := store.Submit("run", func(ctx context.Context, h runstore.Handle) (any, error) { return "fine", nil })
+	failed, _ := store.Submit("run", func(ctx context.Context, h runstore.Handle) (any, error) {
+		return nil, errors.New(`boom <"quoted">`)
+	})
+	for _, c := range []struct {
+		id, frame string
+	}{
+		{ok.ID, `{"id":"r-000001","state":"done"}`},
+		{failed.ID, `{"error":"boom \u003c\"quoted\"\u003e","id":"r-000002","state":"failed"}`},
+	} {
+		waitTerminal(t, ts.URL+"/runs/"+c.id)
+		resp, err := http.Get(ts.URL + "/runs/" + c.id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "event: state\ndata: " + c.frame + "\n\nevent: done\ndata: " + c.frame + "\n\n"
+		if string(blob) != want {
+			t.Errorf("stream of %s:\n got %q\nwant %q", c.id, blob, want)
+		}
+	}
+}
+
+// TestSSEDoneFrameCountsDropped: every event published while a stream
+// is open either reaches it as a frame or is counted in the done
+// frame's "dropped". The exec publishes 5,000 device events as fast as
+// it can, faster than the stream writes them.
+func TestSSEDoneFrameCountsDropped(t *testing.T) {
+	const devices = 5000
+	ts, store := newTestServer(t, 1)
+	// Hold the only slot until the stream is open, so the stream sees
+	// the run from its running state on.
+	started, release := make(chan struct{}), make(chan struct{})
+	if _, err := store.Submit("run", func(ctx context.Context, h runstore.Handle) (any, error) {
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	run, err := store.Submit("fleet", func(ctx context.Context, h runstore.Handle) (any, error) {
+		for i := 1; i <= devices; i++ {
+			h.Publish(runstore.Event{Type: "device", Data: deviceData{Done: i, Total: devices}})
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/fleets/" + run.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	events := readSSE(t, resp)
+	last := events[len(events)-1]
+	if last.Type != "done" {
+		t.Fatalf("stream ended on %q", last.Type)
+	}
+	var done struct {
+		Dropped int            `json:"dropped"`
+		State   runstore.State `json:"state"`
+	}
+	if err := json.Unmarshal(last.Data, &done); err != nil {
+		t.Fatal(err)
+	}
+	if done.State != runstore.StateDone {
+		t.Fatalf("done frame state = %s", done.State)
+	}
+	// Between the opening state frame and the done frame: what the
+	// subscription delivered of the running state, the device events and
+	// the done state.
+	delivered, devicesSeen, lastDone := len(events)-2, 0, 0
+	for _, ev := range events[1 : len(events)-1] {
+		if ev.Type != "device" {
+			continue
+		}
+		var d deviceData
+		if err := json.Unmarshal(ev.Data, &d); err != nil {
+			t.Fatal(err)
+		}
+		if d.Done <= lastDone {
+			t.Fatalf("device event done = %d after %d", d.Done, lastDone)
+		}
+		lastDone = d.Done
+		devicesSeen++
+	}
+	if delivered+done.Dropped != devices+2 {
+		t.Fatalf("%d frames delivered + %d dropped, want the %d events published", delivered, done.Dropped, devices+2)
+	}
+	t.Logf("%d of %d device events delivered, %d events dropped", devicesSeen, devices, done.Dropped)
 }

@@ -48,7 +48,7 @@ type RunSpec struct {
 // violation comes back as an error suitable for a 400 — nothing
 // half-built reaches the executor.
 func (rs RunSpec) Config() (sim.Config, error) {
-	if _, err := sim.PolicyByName(defaultStr(rs.Policy, "SIMTY")); err != nil {
+	if err := sim.CheckPolicy(defaultStr(rs.Policy, "SIMTY")); err != nil {
 		return sim.Config{}, err
 	}
 	hours := rs.Hours

@@ -1,8 +1,10 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 // events streams a run's progress as Server-Sent Events until the run
 // reaches a terminal state (or the client goes away). The stream always
 // opens with the current state and always closes with the terminal
-// frames, read from the store itself rather than the event channel — a
+// frames, read from the store itself rather than the subscription — a
 // subscriber can therefore attach at any point, including after the run
 // finished, and still observe the authoritative outcome:
 //
@@ -22,12 +24,16 @@ import (
 //	event: shard     {"index","lo","hi","state",...} a worker shard's transition (Procs > 0)
 //	event: device    {"done","total"}               one device folded
 //	event: snapshot  {"done","total","summary"}     live aggregate
-//	event: done      {"id","state","error"?}        terminal; stream ends
+//	event: done      {"dropped"?,"error"?,"id","state"} terminal; stream ends
 //
-// Intermediate events are lossy under backpressure (a slow client skips
-// ahead; ordering is preserved, so "done" counters stay strictly
-// monotonic), but the final snapshot and "done" frame are guaranteed
-// and the final snapshot is exactly the stored result.
+// The handler writes its subscription's whole backlog on each wake.
+// Intermediate events are lossy under backpressure: once 1,024 events
+// wait behind the batch being written (a client up to 2,048 events
+// behind), the newest ones are lost (ordering is preserved, so "done"
+// counters stay strictly monotonic), and the done frame counts them in
+// "dropped" when there were any. The final snapshot and "done"
+// frame are guaranteed, and the final snapshot is exactly the stored
+// result.
 //
 // While the stream is idle (a queued run waiting for a slot, a long
 // shard between folds) a keep-alive comment frame (": heartbeat") goes
@@ -40,12 +46,12 @@ func (s *Server) events(kind string) http.HandlerFunc {
 			return
 		}
 		id := r.PathValue("id")
-		events, done, unsubscribe, err := s.store.Subscribe(id)
+		sub, err := s.store.Subscribe(id)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
 			return
 		}
-		defer unsubscribe()
+		defer sub.Close()
 		flusher, ok := w.(http.Flusher)
 		if !ok {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
@@ -63,43 +69,44 @@ func (s *Server) events(kind string) http.HandlerFunc {
 		if err != nil {
 			return
 		}
-		writeSSE(w, "state", stateFrame(run))
+		sw := newSSEWriter(w)
+		sw.frame("state", stateOf(run))
 		flusher.Flush()
 
 		heartbeat := time.NewTimer(s.opts.heartbeat)
 		defer heartbeat.Stop()
+		var batch []runstore.Event
 		for {
 			select {
-			case ev := <-events:
-				writeSSE(w, ev.Type, ev.Data)
+			case <-sub.Wake():
+				batch = sub.Take(batch)
+				for _, ev := range batch {
+					sw.frame(ev.Type, ev.Data)
+				}
 				flusher.Flush()
 				resetTimer(heartbeat, s.opts.heartbeat)
 			case <-heartbeat.C:
 				// Comment frame: keeps the TCP connection warm through
 				// proxies, invisible to EventSource consumers.
-				fmt.Fprint(w, ": heartbeat\n\n")
+				io.WriteString(w, ": heartbeat\n\n")
 				flusher.Flush()
 				heartbeat.Reset(s.opts.heartbeat)
-			case <-done:
-				// Flush whatever the fold loop published before the end,
+			case <-sub.Done():
+				// Write whatever the fold loop published before the end,
 				// then the authoritative terminal frames.
-				for {
-					select {
-					case ev := <-events:
-						writeSSE(w, ev.Type, ev.Data)
-						continue
-					default:
-					}
-					break
+				for _, ev := range sub.Take(batch) {
+					sw.frame(ev.Type, ev.Data)
 				}
 				final, err := s.store.Get(id)
 				if err != nil {
 					return
 				}
 				if sum, ok := final.Result.(fleet.Summary); ok {
-					writeSSE(w, "snapshot", snapshotData{Done: final.Done, Total: final.Total, Summary: sum})
+					sw.frame("snapshot", snapshotData{Done: final.Done, Total: final.Total, Summary: sum})
 				}
-				writeSSE(w, "done", stateFrame(final))
+				done := stateOf(final)
+				done.Dropped = sub.Dropped()
+				sw.frame("done", done)
 				flusher.Flush()
 				return
 			case <-r.Context().Done():
@@ -122,26 +129,50 @@ func resetTimer(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// stateFrame is the payload of "state" and "done" frames built from a
-// store snapshot.
-func stateFrame(run runstore.Run) map[string]any {
-	m := map[string]any{"id": run.ID, "state": run.State}
-	if run.Error != "" {
-		m["error"] = run.Error
-	}
-	return m
+// stateFrame is the payload of the "state" frame a stream opens with
+// and of its "done" frame. Its fields are in sorted key order, so it
+// marshals as a map of the same keys would.
+type stateFrame struct {
+	// Dropped counts the events the stream lost to a full queue; only
+	// the done frame sets it.
+	Dropped int            `json:"dropped,omitempty"`
+	Error   string         `json:"error,omitempty"`
+	ID      string         `json:"id"`
+	State   runstore.State `json:"state"`
 }
 
-// writeSSE emits one event in the text/event-stream framing. Payloads
-// are single-line JSON (encoding/json never emits raw newlines), so one
-// data: line suffices.
-func writeSSE(w http.ResponseWriter, event string, data any) {
-	blob, err := json.Marshal(data)
-	if err != nil {
+func stateOf(run runstore.Run) stateFrame {
+	return stateFrame{Error: run.Error, ID: run.ID, State: run.State}
+}
+
+// sseWriter frames events onto one stream. Each frame is built in buf,
+// which lives as long as the stream, and goes out in one Write.
+type sseWriter struct {
+	w   io.Writer
+	buf bytes.Buffer
+	enc *json.Encoder // encodes into buf
+}
+
+func newSSEWriter(w io.Writer) *sseWriter {
+	sw := &sseWriter{w: w}
+	sw.enc = json.NewEncoder(&sw.buf)
+	return sw
+}
+
+// frame writes one event in the text/event-stream framing. Payloads
+// are single-line JSON (encoding/json never emits raw newlines), so
+// one data: line suffices, ended by the newline Encode appends.
+func (sw *sseWriter) frame(event string, data any) {
+	sw.buf.Reset()
+	sw.buf.WriteString("event: ")
+	sw.buf.WriteString(event)
+	sw.buf.WriteString("\ndata: ")
+	if err := sw.enc.Encode(data); err != nil {
 		// A payload we built always marshals; guard anyway so a future
 		// unmarshalable type degrades to a visible error event.
-		fmt.Fprintf(w, "event: error\ndata: {\"error\":%q}\n\n", err.Error())
-		return
+		sw.buf.Reset()
+		fmt.Fprintf(&sw.buf, "event: error\ndata: {\"error\":%q}\n", err.Error())
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, blob)
+	sw.buf.WriteByte('\n')
+	sw.w.Write(sw.buf.Bytes())
 }

@@ -5,19 +5,23 @@
 // progress events out to any number of subscribers (the SSE handlers).
 //
 // Executions are bounded: at most the configured number of runs execute
-// at once, the rest queue in pending state in submission order. Each
-// entry owns a context.CancelFunc, so a DELETE cancels a running fleet
-// mid-flight (the run pool under every execution observes the context
-// and delivers nothing more) and a queued one before it ever starts. Close stops new
-// submissions; Drain waits for in-flight work so a SIGTERM can land
-// without truncating anyone's fleet.
+// at once; the rest wait in pending state on the slot semaphore, which
+// frees them in no set order. Each entry owns a context.CancelFunc, so a
+// DELETE cancels a running fleet mid-flight (the run pool under every
+// execution observes the context and delivers nothing more) and a
+// queued one before it ever starts. An execution that panics fails its
+// own run. Close stops new submissions; Drain waits for in-flight work
+// so a SIGTERM can land without truncating anyone's fleet.
 package runstore
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -86,11 +90,11 @@ type Run struct {
 // progress callbacks already).
 type Handle struct{ e *entry }
 
-// Publish fans an event out to every subscriber. Sends never block: a
-// subscriber that falls behind its buffer loses intermediate events
-// (order is preserved, so monotonic counters stay monotonic), and every
-// subscriber is guaranteed the terminal state via Subscribe's done
-// channel regardless.
+// Publish queues an event for every subscriber and never blocks. A
+// subscriber whose queue holds subBuffer events loses this one, and its
+// Dropped count says how many it lost; order is preserved, so monotonic
+// counters stay monotonic, and every subscriber still sees the terminal
+// state through its Done channel.
 func (h Handle) Publish(ev Event) { h.e.publish(ev) }
 
 // SetProgress updates the entry's stored done/total counters, visible
@@ -126,10 +130,15 @@ var ErrNotFound = errors.New("runstore: no such run")
 // ErrFinished marks a cancel of an already-terminal run.
 var ErrFinished = errors.New("runstore: run already finished")
 
-// subBuffer is each subscriber's event buffer. Fleet folds publish a
-// handful of small events per device; 1024 absorbs bursts from a fast
-// fleet while a slow SSE client catches up, and overflow degrades to
-// skipped intermediate events, never a blocked fold loop.
+// subBuffer caps each subscriber's queue. The queue grows with its
+// backlog, so a reader that keeps up holds a few events; fleet folds
+// publish a handful of small events per device, and 1024 absorbs a fast
+// fleet's bursts while a slow SSE client catches up. Past the cap,
+// Publish drops and counts the newest events for that subscriber, never
+// blocking the fold loop. A batch the reader has taken and is still
+// writing does not count against the cap, so a slow reader falls up to
+// 2×subBuffer events behind, holding two 1,024-event buffers (64 KB),
+// before anything drops.
 const subBuffer = 1024
 
 type entry struct {
@@ -142,8 +151,7 @@ type entry struct {
 	// cancelled records an explicit Cancel so the terminal state is
 	// StateCancelled even if the executor dresses the context error.
 	cancelled bool
-	subs      map[int]chan Event
-	subSeq    int
+	subs      []*Subscription
 	// done closes when the run reaches a terminal state.
 	done chan struct{}
 }
@@ -188,33 +196,45 @@ func (s *Store) Submit(kind string, exec Exec) (Run, error) {
 		return Run{}, ErrClosed
 	}
 	s.seq++
-	id := fmt.Sprintf("%s-%06d", kindPrefix(kind), s.seq)
+	id := runID(kind, s.seq)
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &entry{
 		seq:    s.seq,
 		run:    Run{ID: id, Kind: kind, State: StatePending, Created: time.Now()},
 		ctx:    ctx,
 		cancel: cancel,
-		subs:   make(map[int]chan Event),
 		done:   make(chan struct{}),
 	}
 	s.entries[id] = e
 	s.wg.Add(1)
 	s.mu.Unlock()
 
+	// Snapshot before the execution starts: a run that starts and ends
+	// at once would otherwise come back running or done.
+	run := e.snapshot()
 	go s.execute(e, exec)
-	return e.snapshot(), nil
+	return run, nil
 }
 
-func kindPrefix(kind string) string {
-	if kind == "" {
-		return "x"
+// runID is the kind's first letter ("x" for none), a dash and the
+// submission number padded to six digits: r-000042, f-1000000.
+func runID(kind string, seq int) string {
+	var b, num [24]byte
+	id := append(b[:0], 'x')
+	if kind != "" {
+		id[0] = kind[0]
 	}
-	return kind[:1]
+	id = append(id, '-')
+	digits := strconv.AppendInt(num[:0], int64(seq), 10)
+	for i := len(digits); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, digits...))
 }
 
 // execute waits for a slot, runs exec, and lands the entry in its
-// terminal state.
+// terminal state. A panicking exec fails its own run: the store and
+// every other run go on.
 func (s *Store) execute(e *entry, exec Exec) {
 	defer s.wg.Done()
 	select {
@@ -230,8 +250,19 @@ func (s *Store) execute(e *entry, exec Exec) {
 		return
 	}
 	e.setRunning()
-	v, err := exec(e.ctx, Handle{e})
+	v, err := call(e.ctx, exec, Handle{e})
 	e.finish(v, err)
+}
+
+// call runs exec, turning a panic into an error that names the panic
+// value and carries the stack.
+func call(ctx context.Context, exec Exec, h Handle) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("runstore: execution panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return exec(ctx, h)
 }
 
 // Get returns a snapshot of the run.
@@ -284,29 +315,92 @@ func (s *Store) Cancel(id string) (Run, error) {
 	return e.snapshot(), nil
 }
 
-// Subscribe attaches to the run's event stream. events carries
-// progress events published while subscribed (lossy under backpressure,
-// order-preserving); done closes when the run reaches a terminal state
-// — it may already be closed for a finished run. unsubscribe releases
-// the subscription and must be called.
-func (s *Store) Subscribe(id string) (events <-chan Event, done <-chan struct{}, unsubscribe func(), err error) {
+// Subscribe attaches to the run's event stream: the subscription
+// queues every event published from now on, up to subBuffer not yet
+// taken. It must be closed.
+func (s *Store) Subscribe(id string) (*Subscription, error) {
 	s.mu.Lock()
 	e, ok := s.entries[id]
 	s.mu.Unlock()
 	if !ok {
-		return nil, nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
-	ch := make(chan Event, subBuffer)
+	sub := &Subscription{e: e, wake: make(chan struct{}, 1)}
 	e.mu.Lock()
-	e.subSeq++
-	n := e.subSeq
-	e.subs[n] = ch
+	e.subs = append(e.subs, sub)
 	e.mu.Unlock()
-	return ch, e.done, func() {
-		e.mu.Lock()
-		delete(e.subs, n)
-		e.mu.Unlock()
-	}, nil
+	return sub, nil
+}
+
+// Subscription is one reader of a run's events. Publish appends to its
+// queue, which grows with the backlog up to subBuffer events, and
+// signals Wake; the reader then takes the whole backlog at once, and
+// the queue starts again from empty while the reader writes it.
+type Subscription struct {
+	e *entry
+	// wake gets one signal each time the queue turns non-empty.
+	wake chan struct{}
+	// queue and dropped are guarded by e.mu.
+	queue   []Event
+	dropped int
+}
+
+// Wake receives once the queue turns non-empty. One signal stands for
+// every event queued until the next Take, which finds none if an
+// earlier Take already had them.
+func (sub *Subscription) Wake() <-chan struct{} { return sub.wake }
+
+// Done closes when the run reaches a terminal state; it may already be
+// closed. The terminal state event is queued before it closes.
+func (sub *Subscription) Done() <-chan struct{} { return sub.e.done }
+
+// Take returns every queued event, oldest first, and empties the queue.
+// Later events queue in spare's storage: a reader that hands back the
+// slice its previous Take returned, once done with it, alternates two
+// buffers and allocates nothing after they reach its backlog.
+func (sub *Subscription) Take(spare []Event) []Event {
+	clear(spare)
+	sub.e.mu.Lock()
+	q := sub.queue
+	sub.queue = spare[:0]
+	sub.e.mu.Unlock()
+	return q
+}
+
+// Dropped counts the events Publish dropped because the queue was full.
+func (sub *Subscription) Dropped() int {
+	sub.e.mu.Lock()
+	defer sub.e.mu.Unlock()
+	return sub.dropped
+}
+
+// Close detaches the subscription. Safe to call more than once.
+func (sub *Subscription) Close() {
+	sub.e.mu.Lock()
+	sub.e.subs = slices.DeleteFunc(sub.e.subs, func(x *Subscription) bool { return x == sub })
+	sub.e.mu.Unlock()
+}
+
+// push queues ev, growing the queue by doubling up to subBuffer, or
+// counts it dropped. The caller holds e.mu.
+func (sub *Subscription) push(ev Event) {
+	n := len(sub.queue)
+	switch {
+	case n >= subBuffer:
+		sub.dropped++
+		return
+	case n == cap(sub.queue):
+		q := make([]Event, n, min(max(2*n, 2), subBuffer))
+		copy(q, sub.queue)
+		sub.queue = q
+	}
+	sub.queue = append(sub.queue, ev)
+	if n == 0 {
+		select {
+		case sub.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Close stops new submissions. Safe to call more than once.
@@ -430,15 +524,12 @@ func (e *entry) finish(result any, err error) {
 	e.cancel() // release the context's resources
 }
 
-// publish fans one event out without blocking: a full subscriber buffer
-// drops the event for that subscriber only.
+// publish queues one event for every subscriber without blocking: a
+// full queue drops the event for that subscriber only.
 func (e *entry) publish(ev Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, ch := range e.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	for _, sub := range e.subs {
+		sub.push(ev)
 	}
 }

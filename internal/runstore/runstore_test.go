@@ -3,6 +3,7 @@ package runstore
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,13 +14,13 @@ import (
 // timeout.
 func wait(t *testing.T, s *Store, id string) Run {
 	t.Helper()
-	_, done, unsub, err := s.Subscribe(id)
+	sub, err := s.Subscribe(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unsub()
+	defer sub.Close()
 	select {
-	case <-done:
+	case <-sub.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatalf("run %s did not finish", id)
 	}
@@ -181,33 +182,28 @@ func TestSubscribeReceivesEventsInOrder(t *testing.T) {
 		}
 		return nil, nil
 	})
-	events, done, unsub, err := s.Subscribe(r.ID)
+	sub, err := s.Subscribe(r.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unsub()
+	defer sub.Close()
 	close(gate)
-	<-doneOrTimeout(t, done)
+	<-doneOrTimeout(t, sub.Done())
 	// Drain whatever was buffered: device events must appear in publish
 	// order.
 	last := 0
-	for {
-		select {
-		case ev := <-events:
-			if ev.Type != "device" {
-				continue
-			}
-			n := ev.Data.(int)
-			if n <= last {
-				t.Fatalf("device event %d after %d: order lost", n, last)
-			}
-			last = n
-		default:
-			if last != 5 {
-				t.Fatalf("drained up to %d, want 5", last)
-			}
-			return
+	for _, ev := range sub.Take(nil) {
+		if ev.Type != "device" {
+			continue
 		}
+		n := ev.Data.(int)
+		if n <= last {
+			t.Fatalf("device event %d after %d: order lost", n, last)
+		}
+		last = n
+	}
+	if last != 5 {
+		t.Fatalf("drained up to %d, want 5", last)
 	}
 }
 
@@ -225,13 +221,13 @@ func TestSubscribeAfterTerminalState(t *testing.T) {
 	s := New(1)
 	r, _ := s.Submit("run", func(ctx context.Context, h Handle) (any, error) { return 42, nil })
 	wait(t, s, r.ID)
-	_, done, unsub, err := s.Subscribe(r.ID)
+	sub, err := s.Subscribe(r.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unsub()
+	defer sub.Close()
 	select {
-	case <-done:
+	case <-sub.Done():
 	default:
 		t.Fatal("done channel open for a finished run")
 	}
@@ -245,7 +241,7 @@ func TestGetListNotFound(t *testing.T) {
 	if _, err := s.Cancel("f-999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Cancel unknown = %v, want ErrNotFound", err)
 	}
-	if _, _, _, err := s.Subscribe("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Subscribe("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Subscribe unknown = %v, want ErrNotFound", err)
 	}
 	a, _ := s.Submit("run", func(ctx context.Context, h Handle) (any, error) { return nil, nil })
@@ -412,4 +408,219 @@ func TestActiveDuringConcurrentSubmissions(t *testing.T) {
 	if n := s.Active(); n != 0 {
 		t.Fatalf("Active = %d after drain, want 0", n)
 	}
+}
+
+// TestSubscriptionOverflowKeepsOldestAndCounts: a subscriber that takes
+// nothing while 1,500 events are published finds the first subBuffer of
+// them, in order, on its next take, and the rest counted as dropped;
+// events published after that take still arrive.
+func TestSubscriptionOverflowKeepsOldestAndCounts(t *testing.T) {
+	const published = 1500
+	s := New(1)
+	started, gate, sent, release := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	r, _ := s.Submit("fleet", func(ctx context.Context, h Handle) (any, error) {
+		close(started)
+		<-gate
+		for i := 1; i <= published; i++ {
+			h.Publish(Event{Type: "device", Data: i})
+		}
+		close(sent)
+		<-release
+		h.Publish(Event{Type: "device", Data: published + 1})
+		return nil, nil
+	})
+	<-started // the running state event went out before anyone listened
+	sub, err := s.Subscribe(r.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	close(gate)
+	<-sent
+	evs := sub.Take(nil)
+	if len(evs) != subBuffer {
+		t.Fatalf("took %d events, want the first %d", len(evs), subBuffer)
+	}
+	for i, ev := range evs {
+		if ev.Type != "device" || ev.Data != i+1 {
+			t.Fatalf("event %d = %s %v, want device %d", i, ev.Type, ev.Data, i+1)
+		}
+	}
+	if n := sub.Dropped(); n != published-subBuffer {
+		t.Fatalf("Dropped = %d, want %d", n, published-subBuffer)
+	}
+	close(release)
+	<-doneOrTimeout(t, sub.Done())
+	evs = sub.Take(evs)
+	if len(evs) != 2 || evs[0].Data != published+1 || evs[1].Type != "state" {
+		t.Fatalf("after the take: %+v, want device %d then the terminal state", evs, published+1)
+	}
+	if n := sub.Dropped(); n != published-subBuffer {
+		t.Fatalf("Dropped = %d after the take, want it unchanged at %d", n, published-subBuffer)
+	}
+}
+
+// TestTakenBatchDoesNotCountAgainstTheCap pins the bound the docs
+// state: a batch the reader has taken and not handed back does not
+// count against subBuffer, so the queue starts again from empty and a
+// reader falls 2×subBuffer events behind before one drops.
+func TestTakenBatchDoesNotCountAgainstTheCap(t *testing.T) {
+	s := New(1)
+	handle, release := make(chan Handle), make(chan struct{})
+	r, _ := s.Submit("run", func(ctx context.Context, h Handle) (any, error) {
+		handle <- h
+		<-release
+		return nil, nil
+	})
+	defer func() {
+		close(release)
+		wait(t, s, r.ID)
+	}()
+	h := <-handle
+	sub, err := s.Subscribe(r.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var held []Event
+	for i := 1; i <= 2*subBuffer+1; i++ {
+		if i == subBuffer+1 {
+			held = sub.Take(nil)
+		}
+		h.Publish(Event{Type: "device", Data: i})
+	}
+	next := sub.Take(nil)
+	if len(held) != subBuffer || len(next) != subBuffer || next[0].Data != subBuffer+1 || next[subBuffer-1].Data != 2*subBuffer {
+		t.Fatalf("took %d then %d events, want %d then events %d..%d",
+			len(held), len(next), subBuffer, subBuffer+1, 2*subBuffer)
+	}
+	if n := sub.Dropped(); n != 1 {
+		t.Fatalf("Dropped = %d, want 1", n)
+	}
+}
+
+// TestSubscriptionAllocatesItsBacklog: a subscription costs what it
+// queues, not subBuffer slots up front. Subscribing, two published
+// events, one take and close stay under 1 KB, averaged over 100 rounds
+// so that what the rest of the process allocates meanwhile (a loaded
+// -race run once added 5.5 KB to a single round) does not count.
+func TestSubscriptionAllocatesItsBacklog(t *testing.T) {
+	const rounds = 100
+	s := New(1)
+	handle, release := make(chan Handle), make(chan struct{})
+	r, _ := s.Submit("run", func(ctx context.Context, h Handle) (any, error) {
+		handle <- h
+		<-release
+		return nil, nil
+	})
+	defer func() {
+		close(release)
+		wait(t, s, r.ID)
+	}()
+	h := <-handle
+	ev := Event{Type: "device", Data: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		sub, err := s.Subscribe(r.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Publish(ev)
+		h.Publish(ev)
+		got := len(sub.Take(nil))
+		sub.Close()
+		if got != 2 {
+			t.Fatalf("took %d events, want 2", got)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / rounds; n >= 1024 {
+		t.Fatalf("subscribe, two events, take and close allocated %d bytes a round, want under 1 KB", n)
+	}
+}
+
+// TestPanickingExecFailsItsRun: an Exec that panics lands its run in
+// failed with the panic value in the error, and the store drains.
+func TestPanickingExecFailsItsRun(t *testing.T) {
+	s := New(1)
+	r, _ := s.Submit("run", func(ctx context.Context, h Handle) (any, error) {
+		panic("poisoned exec")
+	})
+	got := wait(t, s, r.ID)
+	if got.State != StateFailed || !strings.Contains(got.Error, "poisoned exec") {
+		t.Fatalf("panicked run = %s (%q), want failed naming the panic", got.State, got.Error)
+	}
+	next, _ := s.Submit("run", func(ctx context.Context, h Handle) (any, error) { return "ok", nil })
+	if got := wait(t, s, next.ID); got.State != StateDone {
+		t.Fatalf("run after the panic = %s, want done", got.State)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain = %v, want nil", err)
+	}
+}
+
+// TestSubscribersSeeEveryEventOrCountIt: readers that take their
+// backlog on every wake while the run publishes each receive the
+// device events in order, and every device event and the terminal
+// state either reach a reader or are counted in its Dropped. Run under
+// -race, it exercises the queue from the publisher and every reader at
+// once.
+func TestSubscribersSeeEveryEventOrCountIt(t *testing.T) {
+	const readers, published = 4, 20000
+	s := New(1)
+	gate := make(chan struct{})
+	r, _ := s.Submit("fleet", func(ctx context.Context, h Handle) (any, error) {
+		<-gate
+		for i := 1; i <= published; i++ {
+			h.Publish(Event{Type: "device", Data: i})
+		}
+		return nil, nil
+	})
+	var wg sync.WaitGroup
+	for range readers {
+		sub, err := s.Subscribe(r.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sub.Close()
+			received, last := 0, 0
+			count := func(evs []Event) {
+				for _, ev := range evs {
+					switch {
+					case ev.Type == "device":
+						if n := ev.Data.(int); n <= last {
+							t.Errorf("device event %d after %d", n, last)
+						} else {
+							last = n
+						}
+						received++
+					case ev.Data.(stateData).State == StateDone:
+						received++
+					}
+				}
+			}
+			var batch []Event
+			for {
+				select {
+				case <-sub.Wake():
+					batch = sub.Take(batch)
+					count(batch)
+				case <-sub.Done():
+					count(sub.Take(batch))
+					if n := received + sub.Dropped(); n != published+1 {
+						t.Errorf("%d events received + %d dropped, want %d published", received, sub.Dropped(), published+1)
+					}
+					return
+				}
+			}
+		}()
+	}
+	close(gate)
+	wg.Wait()
 }

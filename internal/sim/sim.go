@@ -203,12 +203,17 @@ func (c Config) validate() error {
 // PolicyByName constructs an alignment policy from its report name via
 // the alarm package's plug-in registry (importing this package pulls in
 // internal/core, whose init registers the SIMTY family). The lookup uses
-// a zero PolicyContext, which suits validation surfaces (fleet specs,
-// the HTTP API) and every seed-independent policy; the run path resolves
-// seeded policies (SIMTY-J) through the registry with the run's seed.
+// a zero PolicyContext, which suits every seed-independent policy; the
+// run path resolves seeded policies (SIMTY-J) through the registry with
+// the run's seed.
 func PolicyByName(name string) (alarm.Policy, error) {
 	return alarm.PolicyByName(name, alarm.PolicyContext{})
 }
+
+// CheckPolicy validates a policy name against the same registry,
+// SIMTY family included, without building the policy: the check every
+// surface that accepts a policy name runs up front.
+func CheckPolicy(name string) error { return alarm.CheckPolicy(name) }
 
 // PolicyNames lists the recognized policy names in registration order.
 func PolicyNames() []string { return alarm.PolicyNames() }

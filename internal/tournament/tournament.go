@@ -130,12 +130,12 @@ func (s Spec) Validate() error {
 	if s.Devices <= 0 {
 		return fmt.Errorf("tournament: non-positive device count %d", s.Devices)
 	}
-	if _, err := sim.PolicyByName(s.Base); err != nil {
+	if err := sim.CheckPolicy(s.Base); err != nil {
 		return fmt.Errorf("tournament: base: %w", err)
 	}
 	seen := map[string]bool{strings.ToUpper(s.Base): true}
 	for _, p := range s.Policies {
-		if _, err := sim.PolicyByName(p); err != nil {
+		if err := sim.CheckPolicy(p); err != nil {
 			return fmt.Errorf("tournament: %w", err)
 		}
 		if seen[strings.ToUpper(p)] {
