@@ -2,8 +2,9 @@
 #
 #   make verify   — the full pre-merge gate, one named target per check:
 #                   vet (go vet, and gofmt must list no tracked Go
-#                   file), build, race (the suite under -race), hammer (a
-#                   repeated race pass over the parallel-harness paths),
+#                   file), build, race (the suite under -race), repeat
+#                   (the suite twice in one process per package), hammer
+#                   (a repeated race pass over the parallel-harness paths),
 #                   fuzz-smoke (a short pass over every FUZZTARGETS
 #                   entry), kill-a-worker (the multi-process shard
 #                   supervisor under crash/hang/poison/resume), cover
@@ -35,7 +36,7 @@
 
 GO ?= go
 
-.PHONY: verify test race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test integration fuzz bench bench-gate bench-baseline vet build serve docker
+.PHONY: verify test race repeat hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test integration fuzz bench bench-gate bench-baseline vet build serve docker
 
 # Kernel benchmark selection shared by bench, bench-baseline, and the
 # verify smoke; BENCHCOUNT repetitions feed benchgate's median. The
@@ -66,7 +67,8 @@ FUZZTIME ?= 10s
 HAMMERTESTS = RunAll RunTrials CompareTrials Sweep GoldenRecordParity \
 	Fleet Concurrent Drain SSE Daemon PooledMatchesUnpooled NoTraceParity \
 	Backend Herd Readyz Heartbeat Shard Checkpoint Manifest MultiProcess \
-	Scoreboard Tournament PerceptibleGuarantee RecycledRunMatchesFresh PoolRun
+	Scoreboard Tournament PerceptibleGuarantee RecycledRunMatchesFresh PoolRun \
+	StreamRecyclesResults
 HAMMERPKGS = ./internal/pool/ ./internal/simclock/ ./internal/sim/ ./internal/fleet/ \
 	./internal/runstore/ ./internal/httpapi/ ./internal/backend/ \
 	./internal/shardexec/ ./internal/tournament/ ./cmd/wakesimd/ \
@@ -102,10 +104,16 @@ endef
 COVERMIN ?= 70
 COVERPKGS = ./internal/pool/ ./internal/alarm/ ./internal/sim/ ./internal/fleet/ ./internal/backend/ ./internal/shardexec/ ./internal/metrics/ ./internal/runstore/ ./internal/httpapi/ ./internal/tournament/
 
-verify: vet build race hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test integration
+verify: vet build race repeat hammer fuzz-smoke kill-a-worker cover bench-smoke wakebench-test integration
 
 race:
 	$(GO) test -race ./...
+
+# repeat runs every test twice in one process per package: a test that
+# leaves state behind for its second pass (a policy registration, a free
+# list or policy cache it expects cold) fails here and nowhere else.
+repeat:
+	$(GO) test -count=2 ./...
 
 hammer:
 	$(call selects,$(HAMMERPKGS),$(HAMMERTESTS))

@@ -1,6 +1,7 @@
 package alarm
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,12 +11,18 @@ import (
 	"repro/internal/simclock"
 )
 
+// dupPasses numbers the passes of TestRegisterRejectsDuplicatesAnyCasing,
+// so that each registers a name of its own: the registry outlives a
+// pass when the tests repeat in one process (go test -count=2).
+var dupPasses atomic.Int64
+
 func TestRegisterRejectsDuplicatesAnyCasing(t *testing.T) {
 	f := func(PolicyContext) (Policy, error) { return Native{}, nil }
-	if err := Register("test-dup-policy", f); err != nil {
+	name := "test-dup-policy-" + strconv.FormatInt(dupPasses.Add(1), 10)
+	if err := Register(name, f); err != nil {
 		t.Fatalf("first Register: %v", err)
 	}
-	if err := Register("TEST-DUP-POLICY", f); err == nil {
+	if err := Register(strings.ToUpper(name), f); err == nil {
 		t.Fatal("re-registering under different casing did not fail")
 	}
 	if err := Register("NATIVE", f); err == nil {

@@ -129,27 +129,26 @@ func (p Plan) Empty() bool {
 	return len(p.Leaks) == 0 && len(p.Storms) == 0 && !p.Jitter.enabled() && len(p.Skews) == 0
 }
 
-// Validate checks the plan's invariants. installed lists the app names
-// of the run's workload; leaks, skews, and jitter targets must name
-// installed apps (a fault against a missing app would silently inject
-// nothing — a misconfigured experiment, not a fault model).
-func (p Plan) Validate(installed []string) error {
-	have := make(map[string]bool, len(installed))
-	for _, n := range installed {
-		have[n] = true
-	}
-	seen := map[string]bool{}
+// Validate checks the plan's invariants. installed reports whether the
+// run's workload installs an app of the given name; leaks, skews, and
+// jitter targets must name installed apps (a fault against a missing app
+// would silently inject nothing — a misconfigured experiment, not a
+// fault model). It builds nothing, so a run validates its plan without
+// allocating: duplicates are found by scanning the earlier entries, as a
+// plan names at most one leak and one skew per installed app.
+func (p Plan) Validate(installed func(app string) bool) error {
 	for i, l := range p.Leaks {
 		if l.App == "" {
 			return fmt.Errorf("fault: leak %d: empty app", i)
 		}
-		if !have[l.App] {
+		if !installed(l.App) {
 			return fmt.Errorf("fault: leak %d targets %q, not in the workload", i, l.App)
 		}
-		if seen[l.App] {
-			return fmt.Errorf("fault: duplicate leak for %q", l.App)
+		for _, prev := range p.Leaks[:i] {
+			if prev.App == l.App {
+				return fmt.Errorf("fault: duplicate leak for %q", l.App)
+			}
 		}
-		seen[l.App] = true
 		if l.AfterDeliveries < 0 {
 			return fmt.Errorf("fault: leak %d: negative AfterDeliveries", i)
 		}
@@ -181,22 +180,22 @@ func (p Plan) Validate(installed []string) error {
 		return fmt.Errorf("fault: negative overrun factor %v", p.Jitter.OverrunFactor)
 	}
 	for i, a := range p.Jitter.Apps {
-		if !have[a] {
+		if !installed(a) {
 			return fmt.Errorf("fault: jitter target %d (%q) not in the workload", i, a)
 		}
 	}
-	seenSkew := map[string]bool{}
 	for i, s := range p.Skews {
 		if s.App == "" {
 			return fmt.Errorf("fault: skew %d: empty app", i)
 		}
-		if !have[s.App] {
+		if !installed(s.App) {
 			return fmt.Errorf("fault: skew %d targets %q, not in the workload", i, s.App)
 		}
-		if seenSkew[s.App] {
-			return fmt.Errorf("fault: duplicate skew for %q", s.App)
+		for _, prev := range p.Skews[:i] {
+			if prev.App == s.App {
+				return fmt.Errorf("fault: duplicate skew for %q", s.App)
+			}
 		}
-		seenSkew[s.App] = true
 	}
 	return nil
 }

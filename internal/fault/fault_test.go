@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +11,23 @@ import (
 	"repro/internal/hw"
 	"repro/internal/simclock"
 )
+
+// installs is the installed-app predicate Validate takes, over names.
+func installs(names ...string) func(string) bool {
+	return func(app string) bool { return slices.Contains(names, app) }
+}
+
+// newInjector validates p against the installed app names and readies a
+// fresh injector for it, as the simulator does for a run.
+func newInjector(t *testing.T, p Plan, seed int64, clock *simclock.Clock, installed ...string) *Injector {
+	t.Helper()
+	if err := p.Validate(installs(installed...)); err != nil {
+		t.Fatal(err)
+	}
+	in := new(Injector)
+	in.Reset(p, seed, clock)
+	return in
+}
 
 func TestPlanValidate(t *testing.T) {
 	installed := []string{"A", "B"}
@@ -37,7 +57,7 @@ func TestPlanValidate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.plan.Validate(installed)
+			err := c.plan.Validate(installs(installed...))
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -73,10 +93,7 @@ func TestLeakModes(t *testing.T) {
 		{App: "never", Mode: LeakNever, AfterDeliveries: 1},
 		{App: "late", Mode: LeakLate},
 	}}
-	in, err := NewInjector(plan, 1, simclock.New(), []string{"never", "late"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newInjector(t, plan, 1, simclock.New(), "never", "late")
 
 	// First delivery of "never" is healthy (AfterDeliveries: 1), the
 	// second leaks forever.
@@ -100,23 +117,20 @@ func TestLeakModes(t *testing.T) {
 	// The leak trigger is recorded once per app, not per delivery.
 	in.PerturbTask("never", simclock.Second)
 	leaks := 0
-	for _, e := range in.Events() {
+	for _, e := range in.AppendEvents(nil) {
 		if e.Kind == "leak" {
 			leaks++
 		}
 	}
 	if leaks != 2 {
-		t.Errorf("%d leak events for 2 leaky apps: %v", leaks, in.Events())
+		t.Errorf("%d leak events for 2 leaky apps: %v", leaks, in.AppendEvents(nil))
 	}
 }
 
 func TestInjectorDeterminism(t *testing.T) {
 	plan := Plan{Jitter: Jitter{MaxDelay: simclock.Second, OverrunProb: 0.3, OverrunFactor: 4}}
 	mk := func() []simclock.Duration {
-		in, err := NewInjector(plan, 42, simclock.New(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := newInjector(t, plan, 42, simclock.New())
 		var out []simclock.Duration
 		for i := 0; i < 64; i++ {
 			delay, dur := in.PerturbTask("app", simclock.Second)
@@ -131,7 +145,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		}
 	}
 
-	in, _ := NewInjector(plan, 43, simclock.New(), nil)
+	in := newInjector(t, plan, 43, simclock.New())
 	diverged := false
 	for i := 0; i < 64; i++ {
 		delay, dur := in.PerturbTask("app", simclock.Second)
@@ -146,10 +160,7 @@ func TestInjectorDeterminism(t *testing.T) {
 
 func TestInstallSkewRecordedOnce(t *testing.T) {
 	plan := Plan{Skews: []Skew{{App: "A", Offset: simclock.Minute}}}
-	in, err := NewInjector(plan, 1, simclock.New(), []string{"A"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newInjector(t, plan, 1, simclock.New(), "A")
 	if off := in.InstallSkew("A"); off != simclock.Minute {
 		t.Fatalf("skew = %v", off)
 	}
@@ -157,8 +168,8 @@ func TestInstallSkewRecordedOnce(t *testing.T) {
 		t.Fatalf("unskewed app offset %v", off)
 	}
 	in.InstallSkew("A")
-	if n := len(in.Events()); n != 1 {
-		t.Errorf("%d skew events, want 1: %v", n, in.Events())
+	if n := len(in.AppendEvents(nil)); n != 1 {
+		t.Errorf("%d skew events, want 1: %v", n, in.AppendEvents(nil))
 	}
 }
 
@@ -181,10 +192,7 @@ func TestStormReRegisters(t *testing.T) {
 	mgr.SetRecordFunc(func(r alarm.Record) { recs = append(recs, r) })
 
 	plan := Plan{Storms: []Storm{{App: "rogue", Period: simclock.Second, Count: 10}}}
-	in, err := NewInjector(plan, 1, clock, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newInjector(t, plan, 1, clock)
 	ran := 0
 	if err := in.StartStorms(mgr, func(tag string, dur simclock.Duration) { ran++ }); err != nil {
 		t.Fatal(err)
@@ -215,37 +223,94 @@ func TestStormReRegisters(t *testing.T) {
 }
 
 func TestRecordViolation(t *testing.T) {
-	in, err := NewInjector(Plan{Leaks: []Leak{{App: "A"}}}, 1, simclock.New(), []string{"A"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newInjector(t, Plan{Leaks: []Leak{{App: "A"}}}, 1, simclock.New(), "A")
 	var mirrored []Event
 	in.OnEvent = func(e Event) { mirrored = append(mirrored, e) }
 	in.RecordViolation("hw", "release of unheld component Wi-Fi")
-	if len(in.Events()) != 1 || len(mirrored) != 1 {
-		t.Fatalf("events %v, mirrored %v", in.Events(), mirrored)
+	if len(in.AppendEvents(nil)) != 1 || len(mirrored) != 1 {
+		t.Fatalf("events %v, mirrored %v", in.AppendEvents(nil), mirrored)
 	}
-	e := in.Events()[0]
+	e := in.AppendEvents(nil)[0]
 	if e.Kind != "violation" || !strings.Contains(e.Detail, "hw:") {
 		t.Errorf("violation event %+v", e)
 	}
 	_ = hw.WiFi // keep the import honest: violations originate in hw
 }
 
-// TestEventsSnapshot: Events must return a copy — callers sort fault
+// TestEventsSnapshot: AppendEvents must copy — callers sort fault
 // logs by app for reporting, and that must not reorder the injector's
 // own chronological record.
 func TestEventsSnapshot(t *testing.T) {
-	in, err := NewInjector(Plan{Leaks: []Leak{{App: "A"}}}, 1, simclock.New(), []string{"A"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newInjector(t, Plan{Leaks: []Leak{{App: "A"}}}, 1, simclock.New(), "A")
 	in.RecordViolation("hw", "first")
 	in.RecordViolation("hw", "second")
-	ev := in.Events()
+	ev := in.AppendEvents(nil)
 	first := ev[0]
 	ev[0], ev[1] = ev[1], ev[0]
-	if got := in.Events()[0]; got != first {
-		t.Fatalf("mutating Events() result corrupted the log: got %+v, want %+v", got, first)
+	if got := in.AppendEvents(nil)[0]; got != first {
+		t.Fatalf("mutating AppendEvents' result corrupted the log: got %+v, want %+v", got, first)
+	}
+}
+
+// TestResetMatchesFresh: an injector reset for a plan behaves as a fresh
+// one reset for it, whatever it injected before. The reused injector
+// first runs a plan whose every map, leak state and log entry the second
+// plan lacks; both then run the same script of hooks and must draw the
+// same perturbations and record the same log, with nothing of the first
+// run in it.
+func TestResetMatchesFresh(t *testing.T) {
+	first := Plan{
+		Leaks:  []Leak{{App: "A", Mode: LeakNever}, {App: "B"}},
+		Jitter: Jitter{Apps: []string{"A"}, MaxDelay: simclock.Second, OverrunProb: 0.5},
+		Skews:  []Skew{{App: "B", Offset: simclock.Minute}},
+	}
+	second := Plan{
+		Leaks:  []Leak{{App: "B", AfterDeliveries: 1}},
+		Jitter: Jitter{MaxDelay: 2 * simclock.Second, OverrunProb: 0.3},
+		Skews:  []Skew{{App: "A", Offset: simclock.Second}},
+	}
+	script := func(in *Injector) ([]simclock.Duration, []Event) {
+		var durs []simclock.Duration
+		for _, app := range []string{"A", "B"} {
+			durs = append(durs, in.InstallSkew(app))
+		}
+		for i := 0; i < 8; i++ {
+			for _, app := range []string{"A", "B", "C"} {
+				delay, dur := in.PerturbTask(app, simclock.Second)
+				durs = append(durs, delay, dur)
+			}
+		}
+		in.RecordViolation("hw", "release of an unheld component")
+		return durs, in.AppendEvents(nil)
+	}
+
+	reused := newInjector(t, first, 7, simclock.New(), "A", "B", "C")
+	if _, events := script(reused); len(events) == 0 {
+		t.Fatal("the first plan recorded nothing — test exercises less than it claims")
+	}
+	reused.OnEvent = func(Event) { t.Error("OnEvent survived Reset") }
+	if err := second.Validate(installs("A", "B", "C")); err != nil {
+		t.Fatal(err)
+	}
+	reused.Reset(second, 9, simclock.New())
+	gotDurs, gotEvents := script(reused)
+	wantDurs, wantEvents := script(newInjector(t, second, 9, simclock.New(), "A", "B", "C"))
+	if !reflect.DeepEqual(gotDurs, wantDurs) {
+		t.Errorf("a reset injector perturbs differently from a fresh one:\n got %v\nwant %v", gotDurs, wantDurs)
+	}
+	if !reflect.DeepEqual(gotEvents, wantEvents) {
+		t.Errorf("a reset injector logs differently from a fresh one:\n got %v\nwant %v", gotEvents, wantEvents)
+	}
+}
+
+// TestLeakDetail: a leak's event detail reads the same whether it comes
+// from the first-delivery table or is formatted.
+func TestLeakDetail(t *testing.T) {
+	for _, m := range []LeakMode{LeakNever, LeakLate, LeakMode(7)} {
+		for _, n := range []int{1, 2, 12} {
+			if got, want := leakDetail(m, n), fmt.Sprintf("wakelock %s from delivery %d", m, n); got != want {
+				t.Errorf("leakDetail(%v, %d) = %q, want %q", m, n, got, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/alarm"
 	"repro/internal/hw"
@@ -22,14 +23,17 @@ const rngStream = 101
 // scheduler and the violation sink the device and wakelock manager
 // report into. An Injector is single-run, single-goroutine state — the
 // simulation itself is single-threaded — and must not be shared across
-// parallel runs; share the Plan instead.
+// parallel runs; share the Plan instead. Reset readies it for the next
+// run in place, so a simulation environment keeps one for good.
 type Injector struct {
 	plan  Plan
 	clock *simclock.Clock
 	rng   *rand.Rand
 
-	leaks      map[string]*leakState
-	jitterApps map[string]bool // nil = every app
+	// leaks maps a leaking app to its state in states.
+	leaks      map[string]int
+	states     []leakState
+	jitterApps map[string]bool // empty = every app
 	skews      map[string]simclock.Duration
 	skewed     map[string]bool
 
@@ -45,42 +49,46 @@ type leakState struct {
 	triggered bool
 }
 
-// NewInjector validates the plan against the installed app names and
-// builds the per-run injector. seed is the run's scenario seed; the
-// injector derives its own RNG stream from it so fault randomness never
-// perturbs the workload's phases, wake latencies, or Poisson processes.
-func NewInjector(p Plan, seed int64, clock *simclock.Clock, installed []string) (*Injector, error) {
-	if err := p.Validate(installed); err != nil {
-		return nil, err
+// Reset readies the injector for a run of plan p, which must have passed
+// Validate against the run's workload. seed is the run's scenario seed;
+// the injector derives its own RNG stream from it so fault randomness
+// never perturbs the workload's phases, wake latencies, or Poisson
+// processes. The injector keeps its maps, its source (reseeded) and its
+// log's array from the runs before, and starts with an empty log and no
+// OnEvent: the zero Injector after Reset and a reused one after Reset
+// are the same injector.
+func (in *Injector) Reset(p Plan, seed int64, clock *simclock.Clock) {
+	in.plan, in.clock = p, clock
+	in.rng = simclock.Reseed(in.rng, seed+rngStream)
+	clear(in.events)
+	in.events, in.OnEvent = in.events[:0], nil
+
+	if in.leaks == nil {
+		in.leaks, in.jitterApps = map[string]int{}, map[string]bool{}
+		in.skews, in.skewed = map[string]simclock.Duration{}, map[string]bool{}
 	}
-	in := &Injector{
-		plan:   p,
-		clock:  clock,
-		rng:    simclock.Rand(seed + rngStream),
-		leaks:  make(map[string]*leakState, len(p.Leaks)),
-		skews:  make(map[string]simclock.Duration, len(p.Skews)),
-		skewed: make(map[string]bool, len(p.Skews)),
-	}
+	clear(in.leaks)
+	in.states = in.states[:0]
 	for _, l := range p.Leaks {
-		in.leaks[l.App] = &leakState{leak: l}
+		in.leaks[l.App] = len(in.states)
+		in.states = append(in.states, leakState{leak: l})
 	}
-	if len(p.Jitter.Apps) > 0 {
-		in.jitterApps = make(map[string]bool, len(p.Jitter.Apps))
-		for _, a := range p.Jitter.Apps {
-			in.jitterApps[a] = true
-		}
+	clear(in.jitterApps)
+	for _, a := range p.Jitter.Apps {
+		in.jitterApps[a] = true
 	}
+	clear(in.skews)
+	clear(in.skewed)
 	for _, s := range p.Skews {
 		in.skews[s.App] = s.Offset
 	}
-	return in, nil
 }
 
-// Events returns a copy of the fault events recorded so far, in
-// simulation order. It is a snapshot: callers may mutate or sort the
-// returned slice without corrupting the injector's own log.
-func (in *Injector) Events() []Event {
-	return append([]Event(nil), in.events...)
+// AppendEvents appends the fault events recorded so far, in simulation
+// order, to dst and returns the extended slice: a copy, so callers may
+// mutate or sort it without corrupting the injector's own log.
+func (in *Injector) AppendEvents(dst []Event) []Event {
+	return append(dst, in.events...)
 }
 
 func (in *Injector) record(app, kind, detail string) {
@@ -112,7 +120,7 @@ func (in *Injector) InstallSkew(app string) simclock.Duration {
 func (in *Injector) PerturbTask(app string, dur simclock.Duration) (delay, out simclock.Duration) {
 	out = dur
 	j := in.plan.Jitter
-	if j.enabled() && (in.jitterApps == nil || in.jitterApps[app]) {
+	if j.enabled() && (len(j.Apps) == 0 || in.jitterApps[app]) {
 		if j.MaxDelay > 0 {
 			delay = simclock.Duration(in.rng.Int63n(int64(j.MaxDelay) + 1))
 		}
@@ -125,7 +133,8 @@ func (in *Injector) PerturbTask(app string, dur simclock.Duration) (delay, out s
 			in.record(app, "overrun", fmt.Sprintf("task stretched %v → %v", dur, out))
 		}
 	}
-	if ls, ok := in.leaks[app]; ok {
+	if k, ok := in.leaks[app]; ok {
+		ls := &in.states[k]
 		ls.delivered++
 		if ls.delivered > ls.leak.AfterDeliveries {
 			switch ls.leak.Mode {
@@ -140,11 +149,28 @@ func (in *Injector) PerturbTask(app string, dur simclock.Duration) (delay, out s
 			}
 			if !ls.triggered {
 				ls.triggered = true
-				in.record(app, "leak", fmt.Sprintf("wakelock %s from delivery %d", ls.leak.Mode, ls.delivered))
+				in.record(app, "leak", leakDetail(ls.leak.Mode, ls.delivered))
 			}
 		}
 	}
 	return delay, out
+}
+
+// leakDetail is the detail of the event a leak records when it
+// triggers on delivery n. A leak that triggers on its first delivery,
+// as every leak with the default AfterDeliveries does, takes it from
+// firstLeaks and builds no string.
+func leakDetail(m LeakMode, n int) string {
+	if n == 1 && int(m) < len(firstLeaks) {
+		return firstLeaks[m]
+	}
+	return formatLeak(m, n)
+}
+
+var firstLeaks = [...]string{LeakNever: formatLeak(LeakNever, 1), LeakLate: formatLeak(LeakLate, 1)}
+
+func formatLeak(m LeakMode, n int) string {
+	return "wakelock " + m.String() + " from delivery " + strconv.Itoa(n)
 }
 
 // stormTaskDur is the CPU busywork one storm delivery performs.

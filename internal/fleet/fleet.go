@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/freelist"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -111,21 +113,41 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// slots holds the inputs of devices that no fleet is running: one for
+// each device that was ever sampled but not yet folded at once, kept for
+// good, as sim keeps its run environments.
+var slots freelist.Locked[inputs]
+
 // runDevices runs the devices [lo, hi) as one sim.Stream of 2×(hi-lo)
 // runs — each device's base then test config, NoTrace — and hands every
-// pair to fold in device order. The stream samples each device and
-// builds its base config once, when its base run is prepared; the test
-// config is the base config under the test policy, the one difference
-// Spec.Config makes between them. Each Result is dropped once folded.
+// pair to fold in device order. The stream samples each device into
+// inputs from slots and builds its base config once, when its base run
+// is prepared; the test config is the base config under the test
+// policy, the one difference Spec.Config makes between them. Both
+// configs point into the device's inputs, which go back to slots once
+// the pair is folded, and the stream lends its Results until then.
 // runProgress, when non-nil, sees every run in the range's coordinates.
 //
 // On error, fold has seen a prefix of the devices.
 func runDevices(ctx context.Context, spec Spec, lo, hi, workers int, runProgress func(sim.Progress), fold func(base, test *sim.Result)) error {
+	// held hands each device's inputs from the goroutine that prepares
+	// its runs to the one that folds them, in device order. sim.Stream
+	// prepares at most pool.Window runs ahead of delivery, and a device
+	// holds its inputs from its base run's preparing to its test run's
+	// delivery, so at most pool.Window/2 + 1 devices hold inputs at once
+	// and a send never waits.
+	held := make(chan *inputs, min(hi-lo, pool.Window))
 	var c sim.Config // prepared in order on one goroutine
 	cfg := func(i int) sim.Config {
 		if i%2 == 0 {
-			c = spec.Config(spec.SampleDevice(lo+i/2), spec.BasePolicy)
+			in := slots.Get()
+			if in == nil {
+				in = new(inputs)
+			}
+			spec.sample(lo+i/2, in)
+			c = spec.config(in, spec.BasePolicy)
 			c.NoTrace = true
+			held <- in
 			return c
 		}
 		test := c
@@ -136,9 +158,10 @@ func runDevices(ctx context.Context, spec Spec, lo, hi, workers int, runProgress
 	return sim.Stream(ctx, 2*(hi-lo), cfg, sim.RunAllOptions{Workers: workers, Progress: runProgress}, func(i int, r *sim.Result) error {
 		if i%2 == 0 {
 			base = r
-		} else {
-			fold(base, r)
+			return nil
 		}
+		fold(base, r)
+		slots.Put(<-held)
 		return nil
 	})
 }

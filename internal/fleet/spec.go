@@ -21,6 +21,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"repro/internal/apps"
 	"repro/internal/backend"
@@ -242,14 +244,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// The app catalogs devices sample from, and the profile a device's
-// battery scale applies to. Sampling and Config copy what they take, so
-// every device of every fleet shares these read-only values.
+// The app catalogs devices sample from, the profile a device's battery
+// scale applies to, and the day a diurnal fleet runs against. Sampling
+// and Config copy what they change, so every device of every fleet
+// shares these read-only values.
 var (
 	table3Catalog   = apps.Table3()
 	diffSyncCatalog = apps.DiffSyncWorkload()
 	mixedCatalog    = apps.MixedWorkload()
 	nexus5          = power.Nexus5()
+	defaultDay      = apps.DefaultDay()
 )
 
 // catalogFor resolves a spec's catalog name to its app list, shared and
@@ -315,22 +319,41 @@ func mix(seed int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// inputs is the storage one device's sampled inputs live in: the
+// Device with its app mix, the scratch its app permutation is drawn
+// into, and the battery-scaled profile and fault plan its configs point
+// at. SampleDevice and Config run on fresh inputs; a fleet run recycles
+// them (runDevices), so a warm fleet samples without allocating.
+type inputs struct {
+	Device
+	perm    []int
+	profile power.Profile
+	leak    [1]fault.Leak
+	plan    fault.Plan
+}
+
 // SampleDevice draws device i's configuration from the spec. It is a
 // pure function of (spec, i): the draw order below is fixed and
 // documented because the determinism contract depends on it — app-mix
 // size, app permutation, one-shots, pushes, screens, jitter, battery
 // scale, then the leak decision.
 func (s Spec) SampleDevice(i int) Device {
-	s = s.WithDefaults()
-	var d Device
-	simclock.Draw(mix(s.Seed, i), func(rng *rand.Rand) { d = s.sampleDevice(i, rng) })
-	return d
+	var in inputs
+	s.WithDefaults().sample(i, &in)
+	return in.Device
 }
 
-// sampleDevice is SampleDevice's draw sequence on a source seeded to
-// mix(s.Seed, i).
-func (s Spec) sampleDevice(i int, rng *rand.Rand) Device {
-	d := Device{Index: i, Seed: mix(^s.Seed, i)}
+// sample draws device i into in, over whatever an earlier device left
+// there, on a source seeded to mix(s.Seed, i). s has its defaults
+// applied.
+func (s Spec) sample(i int, in *inputs) {
+	simclock.Draw(mix(s.Seed, i), func(rng *rand.Rand) { s.sampleDevice(i, rng, in) })
+}
+
+// sampleDevice is SampleDevice's draw sequence.
+func (s Spec) sampleDevice(i int, rng *rand.Rand, in *inputs) {
+	d := &in.Device
+	*d = Device{Index: i, Seed: mix(^s.Seed, i), Workload: d.Workload[:0]}
 
 	catalog, err := catalogFor(s.Catalog)
 	if err != nil {
@@ -342,10 +365,11 @@ func (s Spec) sampleDevice(i int, rng *rand.Rand) Device {
 	if n > maxAppsPerDevice {
 		n = maxAppsPerDevice
 	}
-	perm := rng.Perm(len(catalog))
-	d.Workload = make([]apps.Spec, 0, n)
+	in.perm = perm(rng, in.perm, len(catalog))
+	// Room for the spec's largest mix, so that recycled inputs grow once.
+	d.Workload = slices.Grow(d.Workload, min(s.Apps.Max, maxAppsPerDevice))
 	for j := 0; j < n; j++ {
-		spec := catalog[perm[j%len(catalog)]]
+		spec := catalog[in.perm[j%len(catalog)]]
 		if round := j / len(catalog); round > 0 {
 			// Wrapped draws replicate an app under a distinct name, as
 			// the Scaling experiment does for dense populations.
@@ -362,7 +386,21 @@ func (s Spec) sampleDevice(i int, rng *rand.Rand) Device {
 	if s.LeakFraction > 0 && rng.Float64() < s.LeakFraction {
 		d.LeakApp = d.Workload[rng.Intn(len(d.Workload))].Name
 	}
-	return d
+}
+
+// perm returns rng.Perm(n) in p's array, grown as need be, after the
+// same draws: the permutation and the source's next state are Perm's.
+// Go 1 fixes Perm's algorithm, draws included, so the two cannot drift.
+// Each step writes the entry it reads when j == i, so whatever p held
+// before does not matter.
+func perm(rng *rand.Rand, p []int, n int) []int {
+	p = slices.Grow(p[:0], n)[:n]
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
 }
 
 // Config assembles the device's run configuration under one policy.
@@ -370,10 +408,18 @@ func (s Spec) sampleDevice(i int, rng *rand.Rand) Device {
 // pair is a controlled comparison. Like SampleDevice it expects a
 // validated spec: Validate bounds the horizon Config converts.
 func (s Spec) Config(d Device, policy string) sim.Config {
-	s = s.WithDefaults()
+	in := &inputs{Device: d}
+	return s.WithDefaults().config(in, policy)
+}
+
+// config is Config for the device in holds: the battery-scaled profile
+// and the leak plan it sets are written into in, so the configuration
+// points into in. s has its defaults applied.
+func (s Spec) config(in *inputs, policy string) sim.Config {
+	d := &in.Device
 	horizon, _ := simclock.Horizon(s.Hours) // Validate has bounded Hours
 	cfg := sim.Config{
-		Name:                  fmt.Sprintf("dev%06d", d.Index),
+		Name:                  deviceName(d.Index),
 		Policy:                policy,
 		Workload:              d.Workload,
 		SystemAlarms:          s.SystemAlarms,
@@ -389,15 +435,33 @@ func (s Spec) Config(d Device, policy string) sim.Config {
 		AlignedPhases:         s.AlignedPhases,
 	}
 	if s.Diurnal {
-		cfg.Diurnal = apps.DefaultDay()
+		cfg.Diurnal = defaultDay
 	}
 	if d.BatteryScale != 1 {
-		p := *nexus5
-		p.BatteryMJ *= d.BatteryScale
-		cfg.Profile = &p
+		in.profile = *nexus5
+		in.profile.BatteryMJ *= d.BatteryScale
+		cfg.Profile = &in.profile
 	}
 	if d.LeakApp != "" {
-		cfg.Faults = &fault.Plan{Leaks: []fault.Leak{{App: d.LeakApp, Mode: fault.LeakLate}}}
+		in.leak[0] = fault.Leak{App: d.LeakApp, Mode: fault.LeakLate}
+		in.plan = fault.Plan{Leaks: in.leak[:]}
+		cfg.Faults = &in.plan
 	}
 	return cfg
+}
+
+// deviceName is fmt.Sprintf("dev%06d", i) in one allocation, the
+// string, with no boxed index.
+func deviceName(i int) string {
+	var name, digits [24]byte
+	b, u := append(name[:0], "dev"...), uint64(i)
+	if i < 0 {
+		b, u = append(b, '-'), -u
+	}
+	d := strconv.AppendUint(digits[:0], u, 10)
+	// %06d pads the sign and the digits to six with zeros.
+	for w := len(b) - len("dev") + len(d); w < 6; w++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }

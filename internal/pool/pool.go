@@ -11,15 +11,15 @@ import (
 	"sync"
 )
 
-// window is the most jobs Run holds prepared but not yet delivered. It
+// Window is the most jobs Run holds prepared but not yet delivered. It
 // bounds memory by the window, not by n: a result lives only until it
 // is delivered.
-const window = 128
+const Window = 128
 
 // Run calls prepare(i) for i = 0, 1, …, n-1 in order on one goroutine,
 // run(i, p) on at most workers goroutines (≤ 0 means GOMAXPROCS), and
 // deliver(i, t) in index order on the caller's goroutine, with at most
-// min(128, n) jobs prepared but not yet delivered.
+// min(Window, n) jobs prepared but not yet delivered.
 //
 // The first error from run or deliver, or ctx ending, stops the pool:
 // nothing more is prepared, started or delivered, and jobs already
@@ -32,7 +32,7 @@ func Run[P, T any](ctx context.Context, n, workers int, prepare func(i int) P, r
 	if n <= 0 {
 		return ctx.Err()
 	}
-	depth := min(window, n)
+	depth := min(Window, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

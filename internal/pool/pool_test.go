@@ -172,7 +172,7 @@ func TestPoolRunErrorStopsPool(t *testing.T) {
 			}
 			if i == k {
 				// Delivery waits on job k, so the window fills at k+128.
-				waitFor(t, "the window to fill", func() bool { return prepared.Load() == k+window })
+				waitFor(t, "the window to fill", func() bool { return prepared.Load() == k+Window })
 			}
 			barrier.Done()
 			barrier.Wait()
@@ -195,8 +195,8 @@ func TestPoolRunErrorStopsPool(t *testing.T) {
 			t.Fatalf("delivery %d was job %d", j, i)
 		}
 	}
-	if p := prepared.Load(); p != k+window {
-		t.Errorf("prepared %d jobs, want %d: preparing went on after the failure", p, k+window)
+	if p := prepared.Load(); p != k+Window {
+		t.Errorf("prepared %d jobs, want %d: preparing went on after the failure", p, k+Window)
 	}
 	started.Range(func(key, _ any) bool {
 		if i := key.(int); i >= k+workers {
@@ -246,7 +246,7 @@ func TestPoolRunDeliverErrorStopsPool(t *testing.T) {
 		func(i, _ int) error {
 			delivered = append(delivered, i)
 			if i == k {
-				waitFor(t, "the window to fill", func() bool { return prepared.Load() == k+window })
+				waitFor(t, "the window to fill", func() bool { return prepared.Load() == k+Window })
 				return boom
 			}
 			return nil
@@ -257,8 +257,8 @@ func TestPoolRunDeliverErrorStopsPool(t *testing.T) {
 	if len(delivered) != k+1 || delivered[k] != k {
 		t.Fatalf("deliver called for %v, want 0…%d", delivered, k)
 	}
-	if p := prepared.Load(); p != k+window {
-		t.Errorf("prepared %d jobs, want %d: preparing went on after the failure", p, k+window)
+	if p := prepared.Load(); p != k+Window {
+		t.Errorf("prepared %d jobs, want %d: preparing went on after the failure", p, k+Window)
 	}
 	noLeak(t, before)
 }

@@ -196,19 +196,31 @@ func (c *backendClient) backoff(attempt int) simclock.Duration {
 
 // finish closes the accounting once the horizon is reached: retry
 // chains whose next attempt never fired are pending, never lost. The
-// Result owns what it returns: the stats and the histogram header in one
-// allocation, and an exact-size copy of the buckets, never the buffer
-// the next run counts into.
-func (c *backendClient) finish() *backend.DeviceStats {
+// Result owns what it returns, never the buffer the next run counts
+// into: the stats and the histogram header in one allocation, and a
+// copy of the buckets. into, when non-nil, is an earlier run's stats
+// (env.result): finish then writes over them and their histogram, and
+// copies the buckets into their array, which grows as append grows it
+// when this run has more buckets than it holds.
+func (c *backendClient) finish(into *backend.DeviceStats) *backend.DeviceStats {
 	c.stats.Pending = c.stats.Shed - c.stats.Redelivered - c.stats.Dropped
-	out := &struct {
-		stats backend.DeviceStats
-		hist  backend.Histogram
-	}{stats: c.stats, hist: backend.Histogram{Width: c.hist.Width}}
-	if n := len(c.hist.Buckets); n > 0 {
-		out.hist.Buckets = make([]backend.Bucket, n)
-		copy(out.hist.Buckets, c.hist.Buckets)
+	var hist *backend.Histogram
+	if into == nil {
+		out := &struct {
+			stats backend.DeviceStats
+			hist  backend.Histogram
+		}{}
+		into, hist = &out.stats, &out.hist
+	} else {
+		hist = into.Hist
 	}
-	out.stats.Hist = &out.hist
-	return &out.stats
+	buckets := hist.Buckets[:0]
+	*into = c.stats
+	*hist = backend.Histogram{Width: c.hist.Width}
+	// A run without arrivals has nil buckets, as a fresh copy does.
+	if len(c.hist.Buckets) > 0 {
+		hist.Buckets = append(buckets, c.hist.Buckets...)
+	}
+	into.Hist = hist
+	return into
 }

@@ -85,7 +85,7 @@ func TestPropertyArrivalsGateOnReconnect(t *testing.T) {
 			}
 		}
 		env.clock.Run(simclock.Time(cfg.Duration))
-		res := env.result()
+		res := env.result(nil)
 		if violations != 0 {
 			t.Errorf("seed %d: %d arrivals before reconnect completed", seed, violations)
 		}

@@ -41,9 +41,25 @@ type runEnv struct {
 	mgr     alarm.Manager
 	rt      apps.Runtime
 	logger  *trace.Logger
-	inj     *fault.Injector
 	recs    []alarm.Record
 	pushes  int
+
+	// inj is the run's fault injector, pointing at injector, or nil
+	// without an active plan. The injector is kept across runs and reset
+	// in place. The callbacks that connect it to the run are bound once:
+	// devViolationFn and hwViolationFn record contract violations,
+	// faultEventFn mirrors its events into the trace and stormTaskFn
+	// runs a storm delivery's task.
+	inj            *fault.Injector
+	injector       fault.Injector
+	devViolationFn func(detail string)
+	hwViolationFn  func(c hw.Component, detail string)
+	faultEventFn   func(fault.Event)
+	stormTaskFn    func(tag string, dur simclock.Duration)
+	// spareEvents is a fault-log array no Result owns any more: result
+	// takes it from a recycled Result whose run logged nothing and hands
+	// it to the next run that logs events into a Result without one.
+	spareEvents []fault.Event
 
 	// zeroLat is the ZeroWakeLatency copy of the run's profile.
 	zeroLat power.Profile
@@ -73,11 +89,10 @@ type runEnv struct {
 	// observeFn is observe, bound once.
 	observeFn func(alarm.Record)
 
-	// kept is the last registry policy this environment built that it
-	// may reuse (a resetter named for its registration), and keptName
-	// the Config.Policy it was built for.
-	kept     alarm.Policy
-	keptName string
+	// kept holds every registry policy this environment built that it
+	// may reuse (a resetter named for its registration), by the
+	// Config.Policy it was built for.
+	kept map[string]alarm.Policy
 }
 
 // envs holds the environments of finished runs for the next ones: one
@@ -257,29 +272,21 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 	// remains byte-identical to the pre-fault implementation.
 	env.inj = nil
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		installed := make([]string, 0, len(cfg.Workload))
-		for _, s := range cfg.Workload {
-			installed = append(installed, s.Name)
+		// validate has checked the plan against the workload.
+		env.inj = &env.injector
+		env.inj.Reset(*cfg.Faults, cfg.Seed, clock)
+		env.rt.Faults = env.inj
+		if env.devViolationFn == nil {
+			env.devViolationFn, env.hwViolationFn = env.deviceViolation, env.hwViolation
+			env.faultEventFn, env.stormTaskFn = env.faultEvent, env.stormTask
 		}
-		inj, err := fault.NewInjector(*cfg.Faults, cfg.Seed, clock, installed)
-		if err != nil {
-			return err
-		}
-		env.inj = inj
-		env.rt.Faults = inj
 		if env.logger != nil {
-			inj.OnEvent = func(e fault.Event) {
-				env.logger.Fault(e.App, e.Kind+": "+e.Detail)
-			}
+			env.inj.OnEvent = env.faultEventFn
 		}
 		// Under an active plan, hardware and device contract violations
 		// become recorded fault events instead of crashing the run.
-		env.dev.SetViolationHandler(func(detail string) {
-			inj.RecordViolation("device", detail)
-		})
-		env.dev.Wakelocks().SetViolationHandler(func(c hw.Component, detail string) {
-			inj.RecordViolation("hw", detail)
-		})
+		env.dev.SetViolationHandler(env.devViolationFn)
+		env.dev.Wakelocks().SetViolationHandler(env.hwViolationFn)
 	}
 
 	if err := env.rt.Install(cfg.Workload); err != nil {
@@ -305,15 +312,22 @@ func (env *runEnv) reset(cfg Config, horizon simclock.Duration) error {
 	// Alarm storms register last: they are adversarial load on top of
 	// the legitimate workload, and with no plan this is a no-op.
 	if env.inj != nil {
-		err := env.inj.StartStorms(&env.mgr, func(tag string, dur simclock.Duration) {
-			env.dev.RunTaskTagged(tag, 0, dur)
-		})
-		if err != nil {
+		if err := env.inj.StartStorms(&env.mgr, env.stormTaskFn); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	return nil
 }
+
+func (env *runEnv) deviceViolation(detail string) { env.inj.RecordViolation("device", detail) }
+
+func (env *runEnv) hwViolation(_ hw.Component, detail string) { env.inj.RecordViolation("hw", detail) }
+
+// faultEvent mirrors a fault event into the run's trace.
+func (env *runEnv) faultEvent(e fault.Event) { env.logger.Fault(e.App, e.Kind+": "+e.Detail) }
+
+// stormTask runs one storm delivery's busywork, wakelocking nothing.
+func (env *runEnv) stormTask(tag string, dur simclock.Duration) { env.dev.RunTaskTagged(tag, 0, dur) }
 
 // resetter is a registry policy an environment may keep across runs:
 // Reset(ctx) leaves it as its factory builds it for ctx (alarm.Factory).
@@ -321,27 +335,31 @@ type resetter interface {
 	Reset(ctx alarm.PolicyContext)
 }
 
-// registryPolicy resolves cfg.Policy: the kept policy, reset for this
-// run, when it was built for the same name, or else a fresh one from the
-// registry, which becomes the kept one when it can be reset. A plug-in
-// factory may hand out another registration's policy, whose Reset knows
-// nothing of the plug-in's factory, so only a policy named for its own
-// registration is kept.
+// registryPolicy resolves cfg.Policy: the policy kept for that name,
+// reset for this run, or else a fresh one from the registry, which is
+// kept for the name when it can be reset. An environment that
+// alternates policies (a fleet of two entrants) thus builds each once. A
+// plug-in factory may hand out another registration's policy, whose
+// Reset knows nothing of the plug-in's factory, so only a policy named
+// for its own registration is kept.
 func (env *runEnv) registryPolicy(cfg Config) (alarm.Policy, error) {
 	pctx := alarm.PolicyContext{Seed: cfg.Seed}
 	if cfg.Diurnal != nil {
 		pctx.Activity = cfg.Diurnal
 	}
-	if env.kept != nil && cfg.Policy == env.keptName {
-		env.kept.(resetter).Reset(pctx)
-		return env.kept, nil
+	if pol, ok := env.kept[cfg.Policy]; ok {
+		pol.(resetter).Reset(pctx)
+		return pol, nil
 	}
 	pol, err := alarm.PolicyByName(cfg.Policy, pctx)
 	if err != nil {
 		return nil, err
 	}
 	if _, ok := pol.(resetter); ok && strings.EqualFold(pol.Name(), cfg.Policy) {
-		env.kept, env.keptName = pol, cfg.Policy
+		if env.kept == nil {
+			env.kept = map[string]alarm.Policy{}
+		}
+		env.kept[cfg.Policy] = pol
 	}
 	return pol, nil
 }
@@ -468,12 +486,19 @@ func (e *runEnv) schedulePushes(horizon simclock.Duration) {
 	p.start()
 }
 
-// result computes every derived metric from the finished run. All
-// record-derived statistics come from the streaming accumulators fed by
-// observe, so the result is identical whether or not the records were
-// retained (Config.NoTrace).
-func (e *runEnv) result() *Result {
-	res := &Result{
+// result fills res with every derived metric of the finished run and
+// returns it; a nil res gets a fresh Result. All record-derived
+// statistics come from the streaming accumulators fed by observe, so the
+// result is identical whether or not the records were retained
+// (Config.NoTrace). A res an earlier run filled lends that run's backend
+// stats, arrival buckets and fault log to this one, which overwrites
+// them: every field comes out as a fresh Result's would.
+func (e *runEnv) result(res *Result) *Result {
+	if res == nil {
+		res = new(Result)
+	}
+	bk, events := res.Backend, res.FaultEvents
+	*res = Result{
 		Config:       e.cfg,
 		PolicyName:   e.pol.Name(),
 		Energy:       e.dev.Accountant().Snapshot(),
@@ -489,11 +514,21 @@ func (e *runEnv) result() *Result {
 		FinalWakeups: e.dev.Wakeups(),
 		Pushes:       e.pushes,
 	}
+	// A run without fault events has a nil log, as a fresh Result does,
+	// and the array res brings waits in spareEvents for one that logs.
 	if e.inj != nil {
-		res.FaultEvents = e.inj.Events()
+		if events == nil {
+			events, e.spareEvents = e.spareEvents, nil
+		}
+		if events = e.inj.AppendEvents(events[:0]); len(events) > 0 {
+			res.FaultEvents, events = events, nil
+		}
+	}
+	if events != nil && e.spareEvents == nil {
+		e.spareEvents = events
 	}
 	if e.backend != nil {
-		res.Backend = e.backend.finish()
+		res.Backend = e.backend.finish(bk)
 	}
 	res.StandbyHours = e.profile.StandbyHours(res.Energy)
 	return res

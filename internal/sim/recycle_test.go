@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/alarm"
 	"repro/internal/apps"
 	"repro/internal/backend"
+	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/power"
 	"repro/internal/simclock"
@@ -240,6 +242,94 @@ func TestRecycledRunMatchesFresh(t *testing.T) {
 	}
 }
 
+// streamMix is a run mix for TestStreamRecyclesResults: backend runs of
+// half an hour to three hours, whose arrival-bucket counts rise and
+// fall from one to the next, runs with the backend off, and two leaking
+// fault plans, one with a backend and one without. Seven configs, so
+// that Results recycled three runs apart each take over every one.
+func streamMix() []Config {
+	leak := &fault.Plan{Leaks: []fault.Leak{{App: "Viber", Mode: fault.LeakLate}}}
+	var cfgs []Config
+	for i, c := range []struct {
+		hours   float64
+		backend bool
+		faults  *fault.Plan
+	}{
+		{0.5, true, nil}, {3, true, nil}, {1, false, leak}, {1.5, true, nil},
+		{2, false, nil}, {2, true, leak}, {1, false, nil},
+	} {
+		cfg := notraceConfig("SIMTY")
+		cfg.Name, cfg.NoTrace, cfg.Seed = fmt.Sprint("mix", i), true, int64(20+i)
+		cfg.Duration = simclock.Duration(c.hours * float64(simclock.Hour))
+		if c.backend {
+			cfg.Backend = &backend.Model{}
+		}
+		cfg.Faults = c.faults
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// TestStreamRecyclesResults: a Stream lends its Results, and the one it
+// delivered last is intact beside the one it delivers. One Stream on one
+// worker runs streamMix three times over, in lockstep with delivery: run
+// i+1 is prepared only once delivery i has begun, and delivery i checks
+// Results i and i-1 only once run i+1 has finished. A Result handed back
+// before the delivery after its own has then been written over by run
+// i+1. Each delivered Result, and the previous one still held, must
+// deep-equal its config's run on a fresh environment; the one worker's
+// environment, its kept injector included, runs every config in turn.
+func TestStreamRecyclesResults(t *testing.T) {
+	cfgs := streamMix()
+	want := make([]*Result, len(cfgs))
+	for i, c := range cfgs {
+		r, err := new(runEnv).run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if c.Faults != nil && len(r.FaultEvents) == 0 {
+			t.Fatalf("%s logs no fault event — test exercises less than it claims", c.Name)
+		}
+		want[i] = r
+	}
+	n := 3 * len(cfgs)
+	started := make(chan struct{}, n)  // delivery i has begun
+	finished := make(chan struct{}, n) // a run has finished
+	prepare := func(i int) Config {
+		if i > 0 {
+			<-started
+		}
+		return cfgs[i%len(cfgs)]
+	}
+	opts := RunAllOptions{Workers: 1, Progress: func(Progress) { finished <- struct{}{} }}
+	ran, lent := 0, map[*Result]bool{}
+	var prev *Result
+	check := func(at, i int, r *Result) {
+		if !sameResult(r, want[i%len(cfgs)]) {
+			t.Errorf("at delivery %d, Result %d (%s) differs from a fresh run:\n got %s\nwant %s",
+				at, i, cfgs[i%len(cfgs)].Name, summarize(r), summarize(want[i%len(cfgs)]))
+		}
+	}
+	err := Stream(context.Background(), n, prepare, opts, func(i int, r *Result) error {
+		started <- struct{}{}
+		for ; ran < min(i+2, n); ran++ {
+			<-finished
+		}
+		check(i, i, r)
+		if i > 0 {
+			check(i, i-1, prev)
+		}
+		prev, lent[r] = r, true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lent) >= n {
+		t.Fatalf("%d runs delivered %d distinct Results: the stream recycled none", n, len(lent))
+	}
+}
+
 // summarize is a one-line digest of a result for failure messages.
 func summarize(r *Result) string {
 	return fmt.Sprintf("%.3f mJ, %d wakeups, %d records, delays %+v, aoi %+v",
@@ -319,6 +409,28 @@ func TestRunAllocsCeiling(t *testing.T) {
 		t.Fatal("shed ends with no retry in flight — test exercises less than it claims")
 	}
 	allocs("shed", shed, 4)
+}
+
+// TestAlternatingPoliciesAllocateOnlyResults: an environment keeps a
+// policy for each name it ran, so SIMTY-U and AOI runs alternating on
+// one goroutine, as a tournament fleet of the two runs them on each of
+// its environments, build neither policy again and allocate their two
+// Results.
+func TestAlternatingPoliciesAllocateOnlyResults(t *testing.T) {
+	u := heavyNoTrace()
+	u.Policy, u.Diurnal, u.Duration = "SIMTY-U", apps.DefaultDay(), 6*simclock.Hour
+	a := u
+	a.Policy = "AOI"
+	n := testing.AllocsPerRun(10, func() {
+		for _, c := range []Config{u, a} {
+			if _, err := Run(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n > 2 {
+		t.Errorf("a SIMTY-U and an AOI run allocate %.0f objects, want their 2 Results", n)
+	}
 }
 
 // TestWarmEnvironmentSurvivesCollections: an idle environment stays on

@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/pool"
 )
 
@@ -83,12 +85,50 @@ func RunToEmptyAll(ctx context.Context, cfgs []Config, opts RunAllOptions) ([]*D
 // Stream runs n configurations on the run pool and hands each result to
 // deliver in index order, on the caller's goroutine, as soon as it and
 // every run before it are done. cfg(i) builds run i's configuration; it
-// is called in index order on one goroutine, at most min(128, n) runs
-// ahead of delivery, so memory is bounded by that window, not by n.
+// is called in index order on one goroutine, at most
+// min(pool.Window, n) runs ahead of delivery, so memory is bounded by
+// that window, not by n.
 // Error semantics match RunAll, and an error from deliver stops the
 // pool like a failed run.
+//
+// The Results are lent, not given: the one delivered at index i stays
+// valid until the delivery of i+1 returns, and a later run of the call
+// then overwrites it, reusing its backend stats, arrival buckets and
+// fault log. deliver may read Result i-1 beside Result i (a fleet folds
+// a device's base and test runs together), and must keep no reference
+// into a Result once the delivery after its own returns. The free list
+// the Results go back to belongs to the call: a 500 h backend run's
+// Result holds up to 180,000 buckets, too many to keep for good.
 func Stream(ctx context.Context, n int, cfg func(i int) Config, opts RunAllOptions, deliver func(i int, r *Result) error) error {
-	return stream(ctx, n, "run", cfg, Run, opts, deliver)
+	var (
+		free freelist.Locked[Result]
+		held *Result // delivered at i-1, on the caller's goroutine
+	)
+	run := func(c Config) (*Result, error) {
+		// A worker never blocks between jobs, so the delivery its last
+		// job readied, or one the scheduler preempted mid-fold, waits
+		// for its P unless the worker yields. Yielding before each run
+		// lets that delivery hand back the Result it superseded; a
+		// worker that still finds none yields twice more before it makes
+		// one. On one P a call thus makes two Results however long it
+		// runs, and on more the Results lent stay at a handful; a worker
+		// never waits for a slow delivery.
+		runtime.Gosched()
+		r := free.Get()
+		for yields := 0; r == nil && yields < 2; yields++ {
+			runtime.Gosched()
+			r = free.Get()
+		}
+		return runInto(c, r)
+	}
+	return stream(ctx, n, "run", cfg, run, opts, func(i int, r *Result) error {
+		err := deliver(i, r)
+		if held != nil {
+			free.Put(held)
+		}
+		held = r
+		return err
+	})
 }
 
 // runAll is stream with the results collected in input order.

@@ -179,11 +179,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("sim: NoTrace and CollectTrace are mutually exclusive")
 	}
 	if c.Faults != nil {
-		installed := make([]string, 0, len(c.Workload))
-		for _, s := range c.Workload {
-			installed = append(installed, s.Name)
-		}
-		if err := c.Faults.Validate(installed); err != nil {
+		if err := c.Faults.Validate(c.installs); err != nil {
 			return err
 		}
 	}
@@ -198,6 +194,16 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// installs reports whether the workload installs an app named app.
+func (c Config) installs(app string) bool {
+	for i := range c.Workload {
+		if c.Workload[i].Name == app {
+			return true
+		}
+	}
+	return false
 }
 
 // PolicyByName constructs an alignment policy from its report name via
@@ -265,10 +271,14 @@ type Result struct {
 }
 
 // Run executes one simulation and computes all derived metrics.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return runInto(cfg, nil) }
+
+// runInto is Run filling res, a Result an earlier run filled, or a fresh
+// one when res is nil (env.result).
+func runInto(cfg Config, res *Result) (*Result, error) {
 	start := time.Now()
 	env := getEnv()
-	res, err := env.run(cfg)
+	res, err := env.runInto(cfg, res)
 	if err != nil {
 		return nil, err
 	}
@@ -278,12 +288,15 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // run rebuilds env for cfg and simulates it to the standby horizon.
-func (env *runEnv) run(cfg Config) (*Result, error) {
+func (env *runEnv) run(cfg Config) (*Result, error) { return env.runInto(cfg, nil) }
+
+// runInto is run filling res, as the package's runInto does.
+func (env *runEnv) runInto(cfg Config, res *Result) (*Result, error) {
 	if err := env.reset(cfg, 0); err != nil {
 		return nil, err
 	}
 	env.clock.Run(simclock.Time(env.cfg.Duration))
-	return env.result(), nil
+	return env.result(res), nil
 }
 
 // Comparison pairs a baseline run (typically NATIVE) with a candidate
