@@ -47,6 +47,9 @@ BACKENDBENCH = ./internal/backend/ -run '^$$' -bench '^BenchmarkBackend' -benchm
 # Shard-aggregate serialization (the multi-process supervisor's wire
 # format and checkpoint record payload: framed encode/decode).
 SHARDBENCH = ./internal/fleet/ -run '^$$' -bench '^Benchmark(EncodeShard|DecodeShard)$$' -benchmem
+# The fold's accumulators: a 4,096-observation fold and a merge of two
+# 2,048-device shards' folds (smoke only, not gated).
+ACCBENCH = ./internal/stats/ -run '^$$' -bench '^BenchmarkAcc(Add|Merge)$$' -benchmem
 BENCHCOUNT ?= 10
 
 # Fuzz targets as package:FuzzName pairs. Go runs one fuzz target per
@@ -59,6 +62,7 @@ FUZZTARGETS = \
 	./internal/fleet:FuzzDecodeShard \
 	./internal/simclock:FuzzClockPool \
 	./internal/shardexec:FuzzManifestJSON \
+	./internal/stats:FuzzAccMatchesDense \
 	./internal/tournament:FuzzTournamentSpec
 FUZZTIME ?= 10s
 
@@ -135,6 +139,7 @@ bench-smoke:
 	$(GO) test -race $(KERNELBENCH) -benchtime=1x -timeout 10m
 	$(GO) test -race $(BACKENDBENCH) -benchtime=1x -timeout 10m
 	$(GO) test -race $(SHARDBENCH) -benchtime=1x -timeout 10m
+	$(GO) test -race $(ACCBENCH) -benchtime=1x -timeout 10m
 
 # wakebench-test vets and tests the benchmark module. It is a Go module
 # of its own (cmd/wakebench/go.mod), so the root targets never reach it,

@@ -125,7 +125,8 @@ var slots freelist.Locked[inputs]
 // is prepared; the test config is the base config under the test
 // policy, the one difference Spec.Config makes between them. Both
 // configs point into the device's inputs, which go back to slots once
-// the pair is folded, and the stream lends its Results until then.
+// the pair is folded, and the stream lends its Results until then. The
+// devices take their names from shared blocks (names).
 // runProgress, when non-nil, sees every run in the range's coordinates.
 //
 // On error, fold has seen a prefix of the devices.
@@ -138,6 +139,7 @@ func runDevices(ctx context.Context, spec Spec, lo, hi, workers int, runProgress
 	// and a send never waits.
 	held := make(chan *inputs, min(hi-lo, pool.Window))
 	var c sim.Config // prepared in order on one goroutine
+	var names names
 	cfg := func(i int) sim.Config {
 		if i%2 == 0 {
 			in := slots.Get()
@@ -145,7 +147,7 @@ func runDevices(ctx context.Context, spec Spec, lo, hi, workers int, runProgress
 				in = new(inputs)
 			}
 			spec.sample(lo+i/2, in)
-			c = spec.config(in, spec.BasePolicy)
+			c = spec.config(in, names.name(lo+i/2, hi), spec.BasePolicy)
 			c.NoTrace = true
 			held <- in
 			return c

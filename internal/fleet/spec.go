@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/backend"
@@ -409,17 +410,17 @@ func perm(rng *rand.Rand, p []int, n int) []int {
 // validated spec: Validate bounds the horizon Config converts.
 func (s Spec) Config(d Device, policy string) sim.Config {
 	in := &inputs{Device: d}
-	return s.WithDefaults().config(in, policy)
+	return s.WithDefaults().config(in, deviceName(d.Index), policy)
 }
 
-// config is Config for the device in holds: the battery-scaled profile
-// and the leak plan it sets are written into in, so the configuration
-// points into in. s has its defaults applied.
-func (s Spec) config(in *inputs, policy string) sim.Config {
+// config is Config for the device in holds, named name: the
+// battery-scaled profile and the leak plan it sets are written into in,
+// so the configuration points into in. s has its defaults applied.
+func (s Spec) config(in *inputs, name, policy string) sim.Config {
 	d := &in.Device
 	horizon, _ := simclock.Horizon(s.Hours) // Validate has bounded Hours
 	cfg := sim.Config{
-		Name:                  deviceName(d.Index),
+		Name:                  name,
 		Policy:                policy,
 		Workload:              d.Workload,
 		SystemAlarms:          s.SystemAlarms,
@@ -453,15 +454,62 @@ func (s Spec) config(in *inputs, policy string) sim.Config {
 // deviceName is fmt.Sprintf("dev%06d", i) in one allocation, the
 // string, with no boxed index.
 func deviceName(i int) string {
-	var name, digits [24]byte
-	b, u := append(name[:0], "dev"...), uint64(i)
+	var name [24]byte
+	return string(appendDeviceName(name[:0], i))
+}
+
+// appendDeviceName appends fmt.Sprintf("dev%06d", i) to b.
+func appendDeviceName(b []byte, i int) []byte {
+	var digits [20]byte
+	b, u := append(b, "dev"...), uint64(i)
+	signed := 0
 	if i < 0 {
-		b, u = append(b, '-'), -u
+		b, u, signed = append(b, '-'), -u, 1
 	}
 	d := strconv.AppendUint(digits[:0], u, 10)
 	// %06d pads the sign and the digits to six with zeros.
-	for w := len(b) - len("dev") + len(d); w < 6; w++ {
+	for w := signed + len(d); w < 6; w++ {
 		b = append(b, '0')
 	}
-	return string(append(b, d...))
+	return append(b, d...)
+}
+
+// nameBlock is how many devices' names one of names' strings holds.
+const nameBlock = 1024
+
+// names hands out the names of devices with ascending indices ≥ 0,
+// sliced from one string per block of up to nameBlock devices whose
+// names are equally long. It keeps only the block in use, so a block
+// lives on only while a config points into it.
+type names struct {
+	first, last, size int // the block names devices [first, last), size bytes each
+	block             string
+}
+
+// name is deviceName(i), from the block holding i or from a new one
+// that names the devices from i on, short of end.
+func (n *names) name(i, end int) string {
+	if i < n.first || i >= n.last {
+		n.fill(i, end)
+	}
+	k := (i - n.first) * n.size
+	return n.block[k : k+n.size]
+}
+
+// fill makes the block that names devices i, i+1, … short of end, of
+// i+nameBlock and of the first index whose name is longer than i's.
+func (n *names) fill(i, end int) {
+	var name [24]byte
+	n.first, n.last, n.size = i, min(end, i+nameBlock), len(appendDeviceName(name[:0], i))
+	var b strings.Builder
+	b.Grow(n.size * (n.last - i))
+	for j := i; j < n.last; j++ {
+		next := appendDeviceName(name[:0], j)
+		if len(next) != n.size {
+			n.last = j
+			break
+		}
+		b.Write(next)
+	}
+	n.block = b.String()
 }

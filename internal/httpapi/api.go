@@ -142,12 +142,12 @@ func (s *Server) submit(w http.ResponseWriter, kind string, exec runstore.Exec) 
 }
 
 // submitRun accepts a single-device spec via the specjson path and
-// executes it with sim.Run. sim.Run does not watch the context, so the
-// context is checked before the run and again after it: a run whose
-// context ends first never runs, and one cancelled while it runs lands
-// cancelled with no result. The store fails a run that panics. The run
-// keeps no Records: summarize reads only the metrics a NoTrace run
-// streams.
+// executes it with sim.RunContext, which stops within a simulated hour
+// of its context ending. The context is also checked before the run and
+// after it: a run whose context ends first never runs, and one
+// cancelled while it runs lands cancelled with no result. The store
+// fails a run that panics. The run keeps no Records: summarize reads
+// only the metrics a NoTrace run streams.
 func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
 	if err := s.decode(w, r, &spec); err != nil {
@@ -165,7 +165,7 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		h.SetProgress(0, 1)
-		r, err := sim.Run(cfg)
+		r, err := sim.RunContext(ctx, cfg)
 		if err == nil {
 			err = ctx.Err()
 		}

@@ -744,8 +744,9 @@ func init() {
 }
 
 // TestCancelRunningRunLandsInCancelled: a single run DELETEd while
-// sim.Run executes it lands cancelled with no result, as a fleet does,
-// although sim.Run itself goes on to finish the run.
+// sim.RunContext executes it lands cancelled with no result, as a fleet
+// does, also when the run, held inside its first hour, goes on to its
+// horizon after the DELETE.
 func TestCancelRunningRunLandsInCancelled(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
 	g := &runGate{entered: make(chan struct{}), open: make(chan struct{})}
@@ -775,6 +776,48 @@ func TestCancelRunningRunLandsInCancelled(t *testing.T) {
 	e := waitTerminal(t, url)
 	if e.State != runstore.StateCancelled || (len(e.Result) != 0 && string(e.Result) != "null") {
 		t.Fatalf("state = %s (%s), result %s; want cancelled with no result", e.State, e.Error, e.Result)
+	}
+}
+
+// TestCancelStopsLongRun: a DELETE stops a running 10,000 h heavy run
+// (about 1.7 s of work, far more under -race) where it is: it lands
+// cancelled with no result, and the run queued behind it on the one
+// slot starts within 100 ms of the DELETE.
+func TestCancelStopsLongRun(t *testing.T) {
+	ts, store := newTestServer(t, 1)
+	status, long := post(t, ts.URL+"/runs", `{"workload": "heavy", "hours": 10000}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("POST /runs = %d", status)
+	}
+	for {
+		if r, err := store.Get(long.ID); err != nil || r.State != runstore.StatePending {
+			if err != nil || r.State != runstore.StateRunning {
+				t.Fatalf("long run: %v, state %s before the DELETE", err, r.State)
+			}
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, next := post(t, ts.URL+"/runs", `{"workload": "light", "hours": 0.25}`)
+	deleted := time.Now()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/runs/"+long.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if e := waitTerminal(t, ts.URL+"/runs/"+long.ID); e.State != runstore.StateCancelled || (len(e.Result) != 0 && string(e.Result) != "null") {
+		t.Fatalf("long run = %s (%s), result %.100s; want cancelled with no result", e.State, e.Error, e.Result)
+	}
+	if e := waitTerminal(t, ts.URL+"/runs/"+next.ID); e.State != runstore.StateDone {
+		t.Fatalf("queued run = %s (%s), want done", e.State, e.Error)
+	}
+	r, err := store.Get(next.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wait := r.Started.Sub(deleted); wait > 100*time.Millisecond {
+		t.Fatalf("the queued run started %v after the DELETE, want within 100ms", wait)
 	}
 }
 

@@ -221,3 +221,32 @@ func TestFaultPlanValidatedUpFront(t *testing.T) {
 		t.Fatalf("bad plan accepted: %v", err)
 	}
 }
+
+// TestRunContextStopsBetweenHours: RunContext runs what Run runs while
+// its context lives, and a run whose context has ended stops after its
+// first simulated hour with the context's error.
+func TestRunContextStopsBetweenHours(t *testing.T) {
+	cfg := Config{Policy: "SIMTY", Workload: apps.HeavyWorkload(), SystemAlarms: true, OneShots: 6, Seed: 1, NoTrace: true}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Wall, want.Wall = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunContext read\n%+v\nRun\n%+v", got, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Duration = 10_000 * simclock.Duration(simclock.Hour)
+	start := time.Now()
+	if r, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("cancelled 10,000 h run returned %v, %v; want context.Canceled", r, err)
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Fatalf("cancelled 10,000 h run took %v", wall)
+	}
+}

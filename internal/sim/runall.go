@@ -119,7 +119,9 @@ func Stream(ctx context.Context, n int, cfg func(i int) Config, opts RunAllOptio
 			runtime.Gosched()
 			r = free.Get()
 		}
-		return runInto(c, r)
+		// A run goes to its end: the pool sees ctx between runs, so a
+		// cancelled stream fails with ctx's error, not a run's.
+		return runInto(context.Background(), c, r)
 	}
 	return stream(ctx, n, "run", cfg, run, opts, func(i int, r *Result) error {
 		err := deliver(i, r)

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -271,14 +272,18 @@ type Result struct {
 }
 
 // Run executes one simulation and computes all derived metrics.
-func Run(cfg Config) (*Result, error) { return runInto(cfg, nil) }
+func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
-// runInto is Run filling res, a Result an earlier run filled, or a fresh
-// one when res is nil (env.result).
-func runInto(cfg Config, res *Result) (*Result, error) {
+// RunContext is Run stopped, with ctx's error, once ctx ends: it looks
+// at ctx after each simulated hour.
+func RunContext(ctx context.Context, cfg Config) (*Result, error) { return runInto(ctx, cfg, nil) }
+
+// runInto is RunContext filling res, a Result an earlier run filled, or
+// a fresh one when res is nil (env.result).
+func runInto(ctx context.Context, cfg Config, res *Result) (*Result, error) {
 	start := time.Now()
 	env := getEnv()
-	res, err := env.runInto(cfg, res)
+	res, err := env.runInto(ctx, cfg, res)
 	if err != nil {
 		return nil, err
 	}
@@ -288,15 +293,27 @@ func runInto(cfg Config, res *Result) (*Result, error) {
 }
 
 // run rebuilds env for cfg and simulates it to the standby horizon.
-func (env *runEnv) run(cfg Config) (*Result, error) { return env.runInto(cfg, nil) }
+func (env *runEnv) run(cfg Config) (*Result, error) {
+	return env.runInto(context.Background(), cfg, nil)
+}
 
-// runInto is run filling res, as the package's runInto does.
-func (env *runEnv) runInto(cfg Config, res *Result) (*Result, error) {
+// runInto is run filling res, as the package's runInto does, and
+// stopping once ctx ends. The clock runs an hour at a time, as
+// RunToEmpty's drain does, and fires the events of one sweep to the
+// horizon in the same order; ctx is seen between the hours.
+func (env *runEnv) runInto(ctx context.Context, cfg Config, res *Result) (*Result, error) {
 	if err := env.reset(cfg, 0); err != nil {
 		return nil, err
 	}
-	env.clock.Run(simclock.Time(env.cfg.Duration))
-	return env.result(res), nil
+	for t, end := simclock.Time(0), simclock.Time(env.cfg.Duration); ; {
+		t = min(t+simclock.Time(simclock.Hour), end)
+		if env.clock.Run(t); t == end {
+			return env.result(res), nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Comparison pairs a baseline run (typically NATIVE) with a candidate

@@ -13,13 +13,14 @@ import (
 // at most once. Integers are uvarints and floats their IEEE-754 bits,
 // little-endian: n; when n > 0, min and max, Σx and Σx² (a component
 // count byte, then the components), the zero count, and the negative
-// and positive buckets, each as the number of keys k and, for k > 0,
-// the first key less minKey and k counts, the first and last non-zero.
+// and positive buckets, each as the number of keys k from the first
+// non-zero count to the last and, for k > 0, the first key less minKey
+// and k counts, zero for each key between that holds none.
 func AppendAccs(b []byte, accs []Acc) []byte {
 	size := 0
 	for i := range accs { // every field at its widest, and per key a count ≤ n
 		a := &accs[i]
-		size += 78 + 8*(a.sum.n+a.sq.n) + (len(a.pos.counts)+len(a.neg.counts))*(bits.Len64(uint64(a.n)|1)+6)/7
+		size += 78 + 8*(a.sum.n+a.sq.n) + (a.neg.nonZero().span()+a.pos.nonZero().span())*(bits.Len64(uint64(a.n)|1)+6)/7
 	}
 	b = slices.Grow(b, size)
 	for i := range accs {
@@ -36,50 +37,66 @@ func AppendAccs(b []byte, accs []Acc) []byte {
 			}
 		}
 		b = binary.AppendUvarint(b, a.zero)
-		for _, s := range [...]*buckets{&a.neg, &a.pos} {
-			lo, c := s.lo, s.counts
-			for len(c) > 0 && c[0] == 0 {
-				lo, c = lo+1, c[1:]
+		for _, s := range [...]buckets{a.neg.nonZero(), a.pos.nonZero()} {
+			if b = binary.AppendUvarint(b, uint64(s.span())); len(s) == 0 {
+				continue
 			}
-			for len(c) > 0 && c[len(c)-1] == 0 {
-				c = c[:len(c)-1]
-			}
-			if b = binary.AppendUvarint(b, uint64(len(c))); len(c) > 0 {
-				b = binary.AppendUvarint(b, uint64(lo-minKey))
-			}
-			for _, n := range c {
-				b = binary.AppendUvarint(b, n)
+			b = binary.AppendUvarint(b, uint64(s[0].key-minKey))
+			for i, p := range s {
+				if i > 0 {
+					b = append(b, make([]byte, p.key-s[i-1].key-1)...) // a zero per key between
+				}
+				b = binary.AppendUvarint(b, p.n)
 			}
 		}
 	}
 	return b
 }
 
+// span is the number of keys from the run's first to its last.
+func (b buckets) span() int {
+	if len(b) == 0 {
+		return 0
+	}
+	return b[len(b)-1].key - b[0].key + 1
+}
+
 // DecodeAccs reads len(accs) accumulators of n observations each, which
-// must fill data exactly, accepting only what AppendAccs writes. Every
-// bucket count takes a byte, so one allocation of len(data) counts holds
-// them all.
+// must fill data exactly, accepting only what AppendAccs writes. A first
+// pass checks the bytes and counts the non-zero bucket counts, so one
+// allocation of that many pairs holds every accumulator's buckets.
 func DecodeAccs(data []byte, n int, accs []Acc) error {
-	counts := make([]uint64, 0, len(data))
+	held, err := decodeAccs(data, n, accs, nil)
+	if err != nil || held == 0 {
+		return err
+	}
+	_, err = decodeAccs(data, n, accs, make([]bucket, 0, held))
+	return err
+}
+
+// decodeAccs is DecodeAccs putting the buckets into pairs, or none with
+// pairs nil, and returning how many it read.
+func decodeAccs(data []byte, n int, accs []Acc, pairs []bucket) (held int, err error) {
 	for i := range accs {
-		if err := accs[i].decode(&data, &counts); err != nil {
-			return fmt.Errorf("stats: accumulator %d: %w", i, err)
+		if err := accs[i].decode(&data, &pairs, &held); err != nil {
+			return 0, fmt.Errorf("stats: accumulator %d: %w", i, err)
 		}
 		if accs[i].n != n {
-			return fmt.Errorf("stats: accumulator %d holds %d observations, want %d", i, accs[i].n, n)
+			return 0, fmt.Errorf("stats: accumulator %d holds %d observations, want %d", i, accs[i].n, n)
 		}
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("stats: %d bytes after %d accumulators", len(data), len(accs))
+		return 0, fmt.Errorf("stats: %d bytes after %d accumulators", len(data), len(accs))
 	}
-	return nil
+	return held, nil
 }
 
 var errMalformed = errors.New("malformed accumulator")
 
-// decode reads one accumulator from *data, appending its bucket counts
-// to *counts, whose capacity they never exceed.
-func (a *Acc) decode(data *[]byte, counts *[]uint64) error {
+// decode reads one accumulator from *data, adding the number of its
+// non-zero bucket counts to *held. Unless *pairs is nil it appends them
+// to *pairs, whose capacity they never exceed, and its runs point there.
+func (a *Acc) decode(data *[]byte, pairs *[]bucket, held *int) error {
 	b := *data
 	n, ok := uvarint(&b)
 	if *a = (Acc{n: int(n)}); !ok || n > math.MaxInt64 || (n > 0 && len(b) < 16) {
@@ -119,15 +136,33 @@ func (a *Acc) decode(data *[]byte, counts *[]uint64) error {
 			if keys := uint64(maxKey - minKey + 1); !ok || lo >= keys || k > keys-lo {
 				return errMalformed
 			}
-			s.lo = minKey + int(lo)
+			start := len(*pairs)
 			for i := uint64(0); i < k; i++ {
+				if i > 0 {
+					// Keys between that hold none take a zero byte each.
+					z := 0
+					for z+8 <= len(b) && binary.LittleEndian.Uint64(b[z:]) == 0 {
+						z += 8
+					}
+					for z < len(b) && b[z] == 0 {
+						z++
+					}
+					if uint64(z) >= k-i {
+						return errMalformed // the last count is zero
+					}
+					i, b = i+uint64(z), b[z:]
+				}
 				c, ok := uvarint(&b)
-				if total += c; !ok || (c == 0 && (i == 0 || i == k-1)) || total < c {
+				if total += c; !ok || c == 0 || total < c {
 					return errMalformed
 				}
-				*counts = append(*counts, c)
+				if *held++; *pairs != nil {
+					*pairs = append(*pairs, bucket{minKey + int(lo+i), c})
+				}
 			}
-			s.counts = (*counts)[len(*counts)-int(k) : len(*counts) : len(*counts)]
+			if *pairs != nil {
+				*s = (*pairs)[start:len(*pairs):len(*pairs)]
+			}
 		}
 		if total != n {
 			return fmt.Errorf("bucket counts sum to %d, want %d", total, n)

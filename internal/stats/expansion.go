@@ -10,7 +10,7 @@ const maxParts = 41
 // expansion holds a sum of float64s exactly while it stays finite, as
 // its components c[:n]: non-zero, non-overlapping, in increasing
 // magnitude (Shewchuk, "Adaptive Precision Floating-Point Arithmetic",
-// 1997).
+// 1997). Once a partial sum overflows, c[0] alone holds ±Inf or NaN.
 type expansion struct {
 	n int
 	c [maxParts]float64
@@ -20,6 +20,10 @@ type expansion struct {
 // each component by the error of adding it to the running sum.
 func (e *expansion) add(x float64) {
 	if x == 0 {
+		return
+	}
+	if e.n > 0 && !finite(e.c[e.n-1]) {
+		e.c[e.n-1] += x // the sum overflowed before and stays so
 		return
 	}
 	i := 0
@@ -33,6 +37,13 @@ func (e *expansion) add(x float64) {
 			i++
 		}
 		x = hi
+	}
+	if !finite(x) {
+		// No expansion of float64s holds a sum past their range, so it
+		// keeps only its rounded value, ±Inf (NaN once both signs have
+		// overflowed).
+		e.c[0], e.n = x, 1
+		return
 	}
 	if x != 0 {
 		e.c[i] = x
@@ -92,9 +103,10 @@ func (e *expansion) canonicalize() {
 
 // addProd folds a·b in exactly, as the rounded product and its error
 // (Dekker's product, by fused multiply-add): exact unless the product
-// overflows or its error underflows.
+// overflows, which adds only its ±Inf, or its error underflows.
 func (e *expansion) addProd(a, b float64) {
 	p := float64(a * b)
-	e.add(p)
-	e.add(math.FMA(a, b, -p))
+	if e.add(p); finite(p) {
+		e.add(math.FMA(a, b, -p))
+	}
 }

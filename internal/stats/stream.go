@@ -20,8 +20,9 @@ type Acc struct {
 	pos, neg buckets // keyed by x for x > 0, by −x for x < 0
 }
 
-// Add folds one observation, allocating only when x falls outside the
-// buckets seen so far. It panics on a NaN or an infinity.
+// Add folds one observation, allocating only when x falls in a bucket
+// not held so far and its sign's run is full. It panics on a NaN or an
+// infinity.
 func (a *Acc) Add(x float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		panic(fmt.Sprintf("stats: Acc.Add(%v): observations must be finite", x))
@@ -34,9 +35,9 @@ func (a *Acc) Add(x float64) {
 	a.sq.addProd(x, x)
 	switch {
 	case x > 0:
-		a.pos.add(bucketOf(x), 1)
+		a.pos.add(bucketOf(x))
 	case x < 0:
-		a.neg.add(bucketOf(-x), 1)
+		a.neg.add(bucketOf(-x))
 	default:
 		a.zero++
 	}
@@ -65,12 +66,14 @@ func (a *Acc) Merge(b *Acc) {
 		a.sq.add(c)
 	}
 	a.zero += b.zero
-	a.pos.merge(&b.pos)
-	a.neg.merge(&b.neg)
+	a.pos.merge(b.pos)
+	a.neg.merge(b.neg)
 }
 
 // Grow reserves buckets so adding positive observations in [lo, hi]
-// allocates nothing, as bytes.Buffer.Grow does for bytes.
+// allocates nothing, as bytes.Buffer.Grow does for bytes: it holds a
+// zero count for every key in the range, so each such Add finds its
+// bucket at the first slot it tries.
 func (a *Acc) Grow(lo, hi float64) {
 	if lo > 0 && lo <= hi && hi <= math.MaxFloat64 {
 		a.pos.cover(bucketOf(lo), bucketOf(hi))
@@ -144,21 +147,21 @@ func (a *Acc) Quantile(p float64) float64 {
 
 // midpointAt is the midpoint of the k'th smallest observation's bucket.
 func (a *Acc) midpointAt(k uint64) float64 {
-	for i := len(a.neg.counts) - 1; i >= 0; i-- {
-		if k < a.neg.counts[i] {
-			return -midpoint(a.neg.lo + i)
+	for i := len(a.neg) - 1; i >= 0; i-- {
+		if k < a.neg[i].n {
+			return -midpoint(a.neg[i].key)
 		}
-		k -= a.neg.counts[i]
+		k -= a.neg[i].n
 	}
 	if k < a.zero {
 		return 0
 	}
 	k -= a.zero
-	for i, c := range a.pos.counts {
-		if k < c {
-			return midpoint(a.pos.lo + i)
+	for _, p := range a.pos {
+		if k < p.n {
+			return midpoint(p.key)
 		}
-		k -= c
+		k -= p.n
 	}
 	return a.max // unreachable while the counts sum to N
 }
@@ -184,44 +187,138 @@ func midpoint(k int) float64 {
 	return math.Ldexp(0.5+(float64(k&(subBuckets-1))+0.5)/(2*subBuckets), k>>octaveBits)
 }
 
-type buckets struct { // counts per key, for keys lo, lo+1, …
-	lo     int
-	counts []uint64
+// A bucket is one key of the sketch and its count.
+type bucket struct {
+	key int
+	n   uint64
 }
 
-func (b *buckets) add(k int, c uint64) {
-	if k < b.lo || k >= b.lo+len(b.counts) {
-		b.cover(k, k)
-	}
-	b.counts[k-b.lo] += c
-}
+// buckets is one sign's sketch: a run of keys in ascending order, each
+// with its count. It holds only the keys added and the keys Grow
+// reserved (with zero counts until added), so its memory follows the
+// keys it holds, not the span between its extremes.
+type buckets []bucket
 
-// cover widens the keys to include [klo, khi], at least twofold.
-func (b *buckets) cover(klo, khi int) {
-	old := len(b.counts)
-	if old > 0 {
-		if klo >= b.lo && khi < b.lo+old {
+// minPairs is the fewest pairs a run grows to: 1 KB, the 128 counts a
+// dense run of one octave took, so a fold allocates no more often.
+const minPairs = 64
+
+// add counts one observation under key k. The keys ascend and differ, so
+// key k sits at most k − s[0].key slots in, and exactly there when every
+// key between is held, as after Grow: add tries that slot first.
+func (b *buckets) add(k int) {
+	if s := *b; len(s) > 0 {
+		if i := k - s[0].key; uint(i) < uint(len(s)) && s[i].key == k {
+			s[i].n++
 			return
 		}
-		klo, khi = min(klo, b.lo), max(khi, b.lo+old-1)
 	}
-	lo, size := klo, max(khi-klo+1, 2*old, subBuckets)
-	if old > 0 && klo < b.lo {
-		lo = khi + 1 - size
-	}
-	counts := make([]uint64, size)
-	if old > 0 {
-		copy(counts[b.lo-lo:], b.counts)
-	}
-	b.lo, b.counts = lo, counts
+	b.insert(k)
 }
 
-func (b *buckets) merge(o *buckets) {
-	for i, c := range o.counts {
-		if c != 0 {
-			b.add(o.lo+i, c)
+// insert is add past its first slot: a binary search, and a new key when
+// k is not held.
+func (b *buckets) insert(k int) {
+	s := *b
+	i := search(s, k)
+	if i < len(s) && s[i].key == k {
+		s[i].n++
+		return
+	}
+	s = b.grow(len(s) + 1)
+	copy(s[i+1:], s[i:])
+	s[i] = bucket{k, 1}
+}
+
+// search is the index of the first key in s not below k.
+func search(s []bucket, k int) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m].key < k {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	return lo
+}
+
+// grow lengthens the run to n pairs, which the caller fills, moving it to
+// at least twice its capacity and minPairs when it is full.
+func (b *buckets) grow(n int) []bucket {
+	s := *b
+	if n > cap(s) {
+		s = append(make([]bucket, 0, max(n, 2*cap(s), minPairs)), s...)
+	}
+	*b = s[:n]
+	return *b
+}
+
+// cover holds every key in [klo, khi], a new one with a zero count.
+func (b *buckets) cover(klo, khi int) {
+	n, span := len(*b), khi-klo+1
+	i, j := search(*b, klo), search(*b, khi+1)
+	if j-i == span {
+		return
+	}
+	s := b.grow(n + span - (j - i))
+	copy(s[i+span:], s[j:n])
+	// Fill the span from its top, each key taking its count from the
+	// held keys below, which never overtake the slot being written.
+	for w, r := i+span-1, j-1; w >= i; w-- {
+		k, c := klo+w-i, uint64(0)
+		if r >= i && s[r].key == k {
+			c, r = s[r].n, r-1
+		}
+		s[w] = bucket{k, c}
+	}
+}
+
+// merge adds o's counts: one pass counts the keys o adds while adding
+// the counts of keys both hold, and one pass from the back interleaves
+// the new keys, so each pair moves at most once.
+func (b *buckets) merge(o buckets) {
+	s, fresh := *b, 0
+	for i, j := 0, 0; j < len(o); j++ {
+		if o[j].n == 0 {
+			continue
+		}
+		for i < len(s) && s[i].key < o[j].key {
+			i++
+		}
+		if i < len(s) && s[i].key == o[j].key {
+			s[i].n += o[j].n
+		} else {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	i, j := len(s)-1, len(o)-1
+	s = b.grow(len(s) + fresh)
+	for w := len(s) - 1; w > i; w-- {
+		for o[j].n == 0 || (i >= 0 && s[i].key == o[j].key) {
+			j-- // reserved by o only, or counted above
+		}
+		if i >= 0 && s[i].key > o[j].key {
+			s[w], i = s[i], i-1
+		} else {
+			s[w], j = o[j], j-1
+		}
+	}
+}
+
+// nonZero is the run from its first non-zero count to its last.
+func (b buckets) nonZero() buckets {
+	for len(b) > 0 && b[0].n == 0 {
+		b = b[1:]
+	}
+	for len(b) > 0 && b[len(b)-1].n == 0 {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 // rank is the R-7 rank p·(n−1), with p clamped to [0, 1].

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -419,10 +420,17 @@ func TestDecodeAccsRejectsDamage(t *testing.T) {
 	splice := func(b []byte, at int, with ...byte) []byte {
 		return append(append(append([]byte(nil), b[:at]...), with...), b[at+1:]...)
 	}
+	// Two observations an octave and more apart: a count, zero bytes for
+	// the keys between, and a last count of one byte.
+	var gap Acc
+	gap.Add(1)
+	gap.Add(100)
+	gapped := AppendAccs(nil, []Acc{gap})
 	cases := map[string]struct {
 		b []byte
 		n int
 	}{
+		"last count zero":  {append(gapped[:len(gapped)-1:len(gapped)-1], 0), 2},
 		"empty":            {nil, 0},
 		"truncated":        {blob[:len(blob)-1], a.N()},
 		"counts short":     {splice(single, 0, 2), 2},
@@ -450,4 +458,104 @@ func swapRange(blob []byte) []byte {
 		b[1+i], b[9+i] = b[9+i], b[1+i]
 	}
 	return b
+}
+
+// allocated is the bytes f allocates, the least of three tries.
+func allocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestAccMemoryFollowsObservations: an accumulator's buckets cost what
+// its keys hold, not the span between them. Three observations, 0.5,
+// 2⁻¹⁰⁷⁴ and the largest float, 268,544 keys apart, take under 2 KB, and
+// so does decoding the frame of three others as far apart (the widest
+// span whose Σx² stays finite), whose counts between are all zero.
+func TestAccMemoryFollowsObservations(t *testing.T) {
+	var a Acc
+	if got := allocated(func() {
+		a = Acc{}
+		for _, x := range []float64{0.5, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+			a.Add(x)
+		}
+	}); got >= 2<<10 {
+		t.Errorf("three observations allocated %d bytes", got)
+	}
+	var b Acc
+	for _, x := range []float64{0.5, math.SmallestNonzeroFloat64, 0x1p511} {
+		b.Add(x)
+	}
+	blob := AppendAccs(nil, []Acc{b})
+	got := make([]Acc, 1)
+	if n := allocated(func() {
+		if err := DecodeAccs(blob, 3, got); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= 2<<10 {
+		t.Errorf("decoding a %d-byte frame of three observations allocated %d bytes", len(blob), n)
+	}
+	if readouts(&got[0]) != readouts(&b) {
+		t.Fatalf("decoded readouts %v, want %v", readouts(&got[0]), readouts(&b))
+	}
+}
+
+// TestAccOverflowReadsInf: a sum past the largest float reads +Inf from
+// then on, and the spread of such data reads NaN.
+func TestAccOverflowReadsInf(t *testing.T) {
+	for _, xs := range [][]float64{
+		{math.MaxFloat64, math.MaxFloat64, -1},
+		{-2, math.SmallestNonzeroFloat64, math.MaxFloat64, math.MaxFloat64},
+		{math.MaxFloat64, 1, math.MaxFloat64, -math.MaxFloat64},
+	} {
+		var a Acc
+		for _, x := range xs {
+			a.Add(x)
+		}
+		if s, d := a.Sum(), a.Std(); !math.IsInf(s, 1) || !math.IsNaN(d) {
+			t.Errorf("%v: Sum %v, Std %v; want +Inf and NaN", xs, s, d)
+		}
+	}
+}
+
+// benchObservations is a fleet-like fold's input: randomSequence's zeros,
+// negatives, duplicates and 41 octaves.
+func benchObservations(n int) []float64 {
+	return randomSequence(rand.New(rand.NewSource(4)), n)
+}
+
+// BenchmarkAccAdd folds 4,096 observations into an empty accumulator, with
+// no Grow: a 4,096-device fleet's fold of one metric.
+func BenchmarkAccAdd(b *testing.B) {
+	xs := benchObservations(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var a Acc
+		for _, x := range xs {
+			a.Add(x)
+		}
+	}
+}
+
+// BenchmarkAccMerge merges two folds of 2,048 observations into an empty
+// accumulator, as a fleet merges two 2,048-device shards.
+func BenchmarkAccMerge(b *testing.B) {
+	xs := benchObservations(4096)
+	var shards [2]Acc
+	for i, x := range xs {
+		shards[i/2048].Add(x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var a Acc
+		a.Merge(&shards[0])
+		a.Merge(&shards[1])
+	}
 }
